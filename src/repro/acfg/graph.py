@@ -116,6 +116,17 @@ class ACFG:
         pruned = pruned * keep[None, :]
         return pruned
 
+    def real_complement(self, nodes) -> np.ndarray:
+        """Real-node indices not in ``nodes``, ascending.
+
+        ``nodes`` is any iterable of indices; entries outside the real
+        range are ignored.
+        """
+        nodes = np.fromiter(nodes, dtype=int)
+        keep = np.ones(self.n_real, dtype=bool)
+        keep[nodes[(nodes >= 0) & (nodes < self.n_real)]] = False
+        return np.flatnonzero(keep)
+
     def content_key(self) -> bytes:
         """Digest of (adjacency, active-node mask) — the Â cache key.
 

@@ -29,7 +29,7 @@ from repro.acfg.graph import ACFG
 from repro.explain.base import RankingExplainer
 from repro.gnn.model import GCNClassifier
 
-__all__ = ["SubgraphXBaseline", "shapley_score"]
+__all__ = ["SubgraphXBaseline", "shapley_score", "shapley_scores"]
 
 
 def shapley_score(
@@ -46,25 +46,52 @@ def shapley_score(
     the value is the mean of ``f(S ∪ T) − f(T)`` where f is the model's
     probability of ``target``.
     """
-    others = np.array(
-        [i for i in range(graph.n_real) if i not in subgraph_nodes], dtype=int
+    return float(
+        shapley_scores(model, graph, [subgraph_nodes], target, rng, samples)[0]
     )
-    subgraph = np.array(sorted(subgraph_nodes), dtype=int)
-    total = 0.0
-    for _ in range(samples):
-        if others.size:
-            coalition_mask = rng.random(others.size) < rng.random()
-            coalition = others[coalition_mask]
-        else:
-            coalition = others
-        with_player = np.concatenate([subgraph, coalition])
-        prob_with = model.subgraph_proba(graph, with_player)[target]
-        if coalition.size:
-            prob_without = model.subgraph_proba(graph, coalition)[target]
-        else:
-            prob_without = 1.0 / model.num_classes  # empty graph: uninformed prior
-        total += prob_with - prob_without
-    return total / samples
+
+
+def shapley_scores(
+    model: GCNClassifier,
+    graph: ACFG,
+    players: list[frozenset[int]],
+    target: int,
+    rng: np.random.Generator,
+    samples: int = 8,
+) -> np.ndarray:
+    """:func:`shapley_score` of every player, scored in one batched call.
+
+    All coalitions are drawn first, player by player, in the order
+    successive :func:`shapley_score` calls would draw them; every
+    ``S ∪ T`` and non-empty ``T`` is then scored by a single
+    ``subgraph_proba_batch``.
+    """
+    kept_sets: list[np.ndarray] = []
+    nonempty: list[bool] = []  # per draw: is the coalition T non-empty?
+    for player in players:
+        others = graph.real_complement(player)
+        subgraph = np.array(sorted(player), dtype=int)
+        for _ in range(samples):
+            if others.size:
+                coalition_mask = rng.random(others.size) < rng.random()
+                coalition = others[coalition_mask]
+            else:
+                coalition = others
+            kept_sets.append(np.concatenate([subgraph, coalition]))
+            nonempty.append(bool(coalition.size))
+            if coalition.size:
+                kept_sets.append(coalition)
+    probs = iter(model.subgraph_proba_batch(graph, kept_sets)[:, target])
+    draws = iter(nonempty)
+    prior = 1.0 / model.num_classes  # empty graph: uninformed prior
+    scores = np.empty(len(players))
+    for p in range(len(players)):
+        total = 0.0
+        for _ in range(samples):
+            prob_with = next(probs)
+            total += prob_with - (next(probs) if next(draws) else prior)
+        scores[p] = total / samples
+    return scores
 
 
 @dataclass
@@ -194,19 +221,19 @@ class SubgraphXBaseline(RankingExplainer):
         # Survivors of the PV leaf are ranked by their own Monte Carlo
         # Shapley value — the same (noisy) estimator the tree rewards
         # use, which is all the information the algorithm itself has.
+        # Every survivor's coalitions are drawn first, then all of them
+        # are scored in one batched call.
         rng = np.random.default_rng(self.seed + 1)
         survivors = sorted(node.kept)
-        shapley = {
-            candidate: shapley_score(
-                self.model,
-                graph,
-                frozenset({candidate}),
-                target,
-                rng,
-                self.shapley_samples,
-            )
-            for candidate in survivors
-        }
+        values = shapley_scores(
+            self.model,
+            graph,
+            [frozenset({candidate}) for candidate in survivors],
+            target,
+            rng,
+            self.shapley_samples,
+        )
+        shapley = dict(zip(survivors, values.tolist()))
         survivor_order = sorted(survivors, key=lambda i: shapley[i], reverse=True)
 
         order = np.array(

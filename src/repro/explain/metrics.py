@@ -81,11 +81,15 @@ def sweep_accuracy_curve(
     canonical = _canonical_percents(fractions)
     if any(_canonical_percents(e.fractions) != canonical for e in explanations):
         raise ValueError("explanations have mismatched ladder fractions")
-    accuracies = [
-        subgraph_accuracy(model, explanations, fraction, against_prediction)
-        for fraction in fractions
-    ]
-    return np.asarray(fractions), np.asarray(accuracies)
+    # One batched call per explanation scores every ladder level, and
+    # the target class is computed once per explanation, not per level.
+    correct = np.zeros(len(fractions), dtype=int)
+    for explanation in explanations:
+        graph = explanation.graph
+        kept_sets = [explanation.level_at(f).kept_nodes for f in fractions]
+        predicted = np.argmax(model.subgraph_proba_batch(graph, kept_sets), axis=1)
+        correct += predicted == _target_class(graph, model, against_prediction)
+    return np.asarray(fractions), correct / len(explanations)
 
 
 def accuracy_auc(fractions: np.ndarray, accuracies: np.ndarray) -> float:
@@ -130,10 +134,7 @@ def fidelity_plus_acc(
     correct = 0
     for explanation in explanations:
         graph = explanation.graph
-        important = set(explanation.top_nodes(fraction).tolist())
-        complement = np.array(
-            [i for i in range(graph.n_real) if i not in important], dtype=int
-        )
+        complement = graph.real_complement(explanation.top_nodes(fraction))
         if complement.size == 0:
             # A fully-kept explanation leaves nothing to classify after
             # removal.  It stays in the denominator below and simply
@@ -189,10 +190,7 @@ def necessity(
     lost = 0
     for explanation in explanations:
         graph = explanation.graph
-        important = set(explanation.top_nodes(fraction).tolist())
-        complement = np.array(
-            [i for i in range(graph.n_real) if i not in important], dtype=int
-        )
+        complement = graph.real_complement(explanation.top_nodes(fraction))
         if complement.size == 0:
             lost += 1
             continue

@@ -18,6 +18,13 @@ Padded rows are packed along with real ones (zero features, no edges,
 ``active_mask`` False) so the batched path reproduces the per-graph
 mask and pooling semantics bit-for-bit — including mean pooling's
 divide-by-padded-size convention.
+
+:func:`iter_perturbation_batches` packs many node-masked copies of
+*one* graph instead — the perturbations SubgraphX and the subgraph
+metrics score.  It packs only the real rows of each copy (padding is
+inert, and ``sizes`` still carries the padded size for mean pooling)
+and derives every copy's Â from the graph's edge list rather than
+through an :class:`AHatCache`, whose entries would never be reused.
 """
 
 from __future__ import annotations
@@ -33,7 +40,21 @@ from repro.nn.backend import KernelWorkspace
 from repro.nn.dtype import get_compute_dtype
 from repro.nn.sparse import CSRMatrix
 
-__all__ = ["BatchPacker", "GraphBatch", "iter_batches"]
+__all__ = [
+    "PERTURBATION_ROW_BUDGET",
+    "BatchPacker",
+    "GraphBatch",
+    "iter_batches",
+    "iter_perturbation_batches",
+]
+
+#: Most stacked rows one perturbation batch holds.  It bounds the peak
+#: memory of scoring hundreds of subgraphs of one graph: the kernel
+#: intermediates grow with the rows packed at once.  Scoring every
+#: perturbation of a ~300-node graph in one batch raised the audit
+#: benchmark's peak RSS (2-core x86-64 Linux) from 280 MB to
+#: 331-343 MB; with this budget it stays at 280 MB.
+PERTURBATION_ROW_BUDGET = 8192
 
 
 def _graph_block(
@@ -215,4 +236,47 @@ def iter_batches(
             [graphs[int(i)] for i in chunk],
             a_hat_cache=a_hat_cache,
             workspace=workspace,
+        )
+
+
+def iter_perturbation_batches(
+    graph: ACFG, kept_sets: Sequence[np.ndarray]
+) -> Iterator[GraphBatch]:
+    """:class:`GraphBatch` chunks of node-masked copies of ``graph``.
+
+    Copy *k* keeps the nodes ``kept_sets[k]`` (indices into the padded
+    graph; padding and duplicate indices are harmless) and removes the
+    rest as :meth:`ACFG.subgraph_adjacency` / :meth:`ACFG.masked_features`
+    do.  Each copy contributes its real rows only; chunks hold at most
+    :data:`PERTURBATION_ROW_BUDGET` rows (and at least one copy).
+    Assumes the ACFG padding invariant: padded nodes have no edges.
+    """
+    from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
+
+    if graph.n == 0:
+        raise ValueError(f"graph {graph.name!r} has no nodes")
+    dtype = get_compute_dtype()
+    width = max(graph.n_real, 1)  # an all-padding graph still pools one row
+    edges = self_looped_edges(graph.adjacency, graph.n_real)
+    features = np.asarray(graph.features[:width], dtype=dtype)
+    per_chunk = max(1, PERTURBATION_ROW_BUDGET // width)
+    for start in range(0, len(kept_sets), per_chunk):
+        chunk = kept_sets[start : start + per_chunk]
+        count = len(chunk)
+        keep = np.zeros((count, graph.n), dtype=bool)
+        for row, kept in zip(keep, chunk):
+            row[np.asarray(kept, dtype=int)] = True
+        keep = keep[:, :width]
+        keep[:, graph.n_real :] = False
+        yield GraphBatch(
+            a_hat=CSRMatrix(masked_normalized_csr(edges, keep), dtype=dtype),
+            features=(features[None, :, :] * keep[:, :, None]).reshape(
+                count * width, -1
+            ),
+            segment_ids=np.repeat(np.arange(count, dtype=np.intp), width),
+            active_mask=keep.reshape(-1),
+            labels=np.full(count, graph.label, dtype=np.intp),
+            sizes=np.full(count, graph.n, dtype=np.intp),
+            offsets=np.arange(count + 1, dtype=np.intp) * width,
+            graphs=(graph,) * count,
         )

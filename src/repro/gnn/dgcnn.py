@@ -22,6 +22,8 @@ Simplifications vs the original DGCNN (documented):
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.acfg.graph import ACFG
@@ -137,18 +139,31 @@ class DGCNNClassifier(Module):
         return probs.numpy().copy()
 
     def predict_subgraph(self, graph: ACFG, kept_nodes: np.ndarray) -> int:
-        with no_grad():
-            probs = self.subgraph_proba(graph, kept_nodes)
-        return int(np.argmax(probs))
+        return int(np.argmax(self.subgraph_proba(graph, kept_nodes)))
 
     def subgraph_proba(self, graph: ACFG, kept_nodes: np.ndarray) -> np.ndarray:
-        kept_nodes = np.asarray(kept_nodes, dtype=int)
-        adjacency = graph.subgraph_adjacency(kept_nodes)
-        features = graph.masked_features(kept_nodes)
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[kept_nodes] = True
-        mask[graph.n_real :] = False
-        with no_grad():
-            z = self.embed(adjacency, features, mask)
-            probs = self.classify(z)
-        return probs.numpy().copy()
+        return self.subgraph_proba_batch(graph, [kept_nodes])[0]
+
+    def subgraph_proba_batch(
+        self, graph: ACFG, kept_sets: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """``[K, C]`` subgraph probabilities, one dense forward per set.
+
+        Same contract as :meth:`GCNClassifier.subgraph_proba_batch`;
+        SortPooling sorts each graph's rows on its own, so the sets are
+        not segment-batched.
+        """
+        rows = [np.zeros((0, self.num_classes))]
+        for kept_nodes in kept_sets:
+            kept_nodes = np.asarray(kept_nodes, dtype=int)
+            mask = np.zeros(graph.n, dtype=bool)
+            mask[kept_nodes] = True
+            mask[graph.n_real :] = False
+            with no_grad():
+                z = self.embed(
+                    graph.subgraph_adjacency(kept_nodes),
+                    graph.masked_features(kept_nodes),
+                    mask,
+                )
+                rows.append(self.classify(z).numpy().reshape(1, -1))
+        return np.vstack(rows)

@@ -15,7 +15,9 @@ The classifier has two execution engines:
 * the batched block-diagonal path (``embed_batch`` / ``logits_batch``
   / ``predict_batch``) over :class:`repro.gnn.batch.GraphBatch`, which
   runs a whole mini-batch in one sparse forward pass.  Both paths are
-  numerically identical (tests/test_graph_batch.py).
+  numerically identical (tests/test_graph_batch.py).  Subgraph scoring
+  (``subgraph_proba_batch``) runs on this path too, packing the
+  node-masked copies of one graph into one batch.
 """
 
 from __future__ import annotations
@@ -250,18 +252,30 @@ class GCNClassifier(Module):
         edges (Algorithm 2's masking) and their features, i.e. they
         become indistinguishable from padding.
         """
-        with no_grad():
-            probs = self.subgraph_proba(graph, kept_nodes)
-        return int(np.argmax(probs))
+        return int(np.argmax(self.subgraph_proba(graph, kept_nodes)))
 
     def subgraph_proba(self, graph: ACFG, kept_nodes: np.ndarray) -> np.ndarray:
-        kept_nodes = np.asarray(kept_nodes, dtype=int)
-        adjacency = graph.subgraph_adjacency(kept_nodes)
-        features = graph.masked_features(kept_nodes)
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[kept_nodes] = True
-        mask[graph.n_real :] = False
+        """Class probabilities ``[C]`` when only ``kept_nodes`` survive."""
+        return self.subgraph_proba_batch(graph, [kept_nodes])[0]
+
+    def subgraph_proba_batch(
+        self, graph: ACFG, kept_sets: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """Class probabilities ``[K, C]`` for ``K`` subgraphs of ``graph``.
+
+        Row *k* is the prediction when only ``kept_sets[k]`` survive.
+        All perturbations run through the batched sparse engine in a
+        few block-diagonal passes
+        (:func:`repro.gnn.batch.iter_perturbation_batches`); their Â
+        are derived from the graph's edge list and never touch
+        :attr:`a_hat_cache`, which would only fill with one-off
+        entries.
+        """
+        from repro.gnn.batch import iter_perturbation_batches
+
+        rows = [np.zeros((0, self.num_classes))]
         with no_grad():
-            z = self.embed(adjacency, features, mask)
-            probs = self.classify(z)
-        return probs.numpy().copy()
+            for batch in iter_perturbation_batches(graph, kept_sets):
+                _, logits = self.forward_batch(batch)
+                rows.append(logits.softmax(axis=-1).numpy())
+        return np.vstack(rows)

@@ -3,6 +3,11 @@
 Kipf & Welling propagation: ``A_hat = D^{-1/2} (A + I) D^{-1/2}``.
 Self-loops are added only to *active* nodes so that padded (or pruned)
 nodes — zero features, zero edges — stay exactly inert through Φ_e.
+
+:func:`self_looped_edges` and :func:`masked_normalized_csr` derive the
+Â of many node-masked copies of one graph from its edge list in
+O(K·E), without going back to the dense matrix per copy — the
+perturbation-scoring path (:func:`repro.gnn.batch.iter_perturbation_batches`).
 """
 
 from __future__ import annotations
@@ -10,7 +15,12 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as _sp
 
-__all__ = ["normalized_adjacency", "normalized_adjacency_csr"]
+__all__ = [
+    "masked_normalized_csr",
+    "normalized_adjacency",
+    "normalized_adjacency_csr",
+    "self_looped_edges",
+]
 
 
 def normalized_adjacency(
@@ -93,3 +103,54 @@ def normalized_adjacency_csr(
     with_loops.data *= np.repeat(inv_sqrt, np.diff(with_loops.indptr))
     with_loops.data *= inv_sqrt[with_loops.indices]
     return with_loops
+
+
+def self_looped_edges(
+    adjacency: np.ndarray, n_real: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, weights)`` of ``max(A, Aᵀ) + I`` on the real nodes.
+
+    The nonzeros of the fully-active self-looped matrix that
+    :func:`normalized_adjacency_csr` normalizes, restricted to the first
+    ``n_real`` nodes and listed row-major (columns ascending within a
+    row).  A self-loop already in ``A`` is merged with the added one
+    before any scaling, as the CSR builder's sum does.
+    """
+    real = np.asarray(adjacency, dtype=np.float64)[:n_real, :n_real]
+    with_loops = np.maximum(real, real.T)
+    with_loops[np.diag_indices(n_real)] += 1.0
+    rows, cols = np.nonzero(with_loops)
+    return rows, cols, with_loops[rows, cols]
+
+
+def masked_normalized_csr(
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray], keep: np.ndarray
+) -> "_sp.csr_matrix":
+    """Block-diagonal Â of ``K`` node-masked copies of one graph.
+
+    ``edges`` comes from :func:`self_looped_edges`; ``keep`` is a
+    ``[K, R]`` boolean matrix (``R`` ≥ the real-node count) whose row
+    *k* marks the nodes copy *k* keeps.  Block *k* equals
+    ``normalized_adjacency_csr(subgraph_adjacency(kept), kept)`` on the
+    real block: edges with a removed endpoint are dropped, kept nodes
+    keep their self-loop, degrees are recomputed (integer-valued, so
+    exact in any summation order) and entries are scaled in the same
+    ``(w * r) * c`` order.
+    """
+    rows, cols, weights = edges
+    count, width = keep.shape
+    alive = keep[:, rows] & keep[:, cols]  # [K, E]
+    copy, edge = np.nonzero(alive)  # copy-major, then row-major per copy
+    src = copy * width + rows[edge]
+    dst = copy * width + cols[edge]
+    data = weights[edge]
+    total = count * width
+    degree = np.bincount(src, weights=data, minlength=total)
+    inv_sqrt = np.zeros(total)
+    nonzero = degree > 0
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
+    data = data * inv_sqrt[src]
+    data *= inv_sqrt[dst]
+    indptr = np.zeros(total + 1, dtype=np.intp)
+    np.cumsum(np.bincount(src, minlength=total), out=indptr[1:])
+    return _sp.csr_matrix((data, dst, indptr), shape=(total, total))

@@ -105,19 +105,25 @@ def _run_corpus_verification(samples: int, seed: int) -> bool:
 
 
 def _run_batching_smoke(samples: int, seed: int, tolerance: float = 1e-8) -> bool:
+    """Batched engines against dense per-graph / per-subgraph references.
+
+    Checks the mini-batch forward against ``forward_acfg`` and
+    ``subgraph_proba_batch`` against a dense forward of each subgraph.
+    """
     import numpy as np
 
     from repro.acfg import ACFGDataset
-    from repro.gnn import GCNClassifier, GraphBatch
+    from repro.gnn import GCNClassifier, GraphBatch, normalized_adjacency
     from repro.malgen import generate_corpus
-    from repro.nn import no_grad
+    from repro.nn import Tensor, no_grad
 
     dataset = ACFGDataset.from_corpus(generate_corpus(samples, seed=seed))
     model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(seed))
     batch = GraphBatch.from_graphs(list(dataset))
+    rng = np.random.default_rng(seed)
     with no_grad():
         z_batch, logits_batch = model.forward_batch(batch)
-    worst = 0.0
+    worst = worst_subgraph = 0.0
     for i, graph in enumerate(dataset):
         with no_grad():
             z, _ = model.forward_acfg(graph)
@@ -127,11 +133,25 @@ def _run_batching_smoke(samples: int, seed: int, tolerance: float = 1e-8) -> boo
             float(np.max(np.abs(z_batch.numpy()[batch.rows_of(i)] - z.numpy()))),
             float(np.max(np.abs(logits_batch.numpy()[i] - logits.numpy()))),
         )
-    ok = worst <= tolerance
+        kept_sets = [np.flatnonzero(rng.random(graph.n_real) < 0.5) for _ in range(4)]
+        batched = model.subgraph_proba_batch(graph, kept_sets)
+        for probs, kept in zip(batched, kept_sets):
+            mask = np.zeros(graph.n, dtype=bool)
+            mask[kept] = True
+            a_hat = normalized_adjacency(graph.subgraph_adjacency(kept), mask)
+            with no_grad():
+                z = model.embed_normalized(
+                    Tensor(a_hat), graph.masked_features(kept), mask
+                )
+                reference = model.classify(z).numpy()
+            worst_subgraph = max(worst_subgraph, float(np.max(np.abs(probs - reference))))
+    ok = max(worst, worst_subgraph) <= tolerance
     status = "ok" if ok else "FAILED"
     print(
         f"[check] batching smoke: {len(dataset)} graphs, "
-        f"max |batched - per-graph| = {worst:.3e} ({status})"
+        f"max |batched - per-graph| = {worst:.3e}, "
+        f"max |batched - dense| over {4 * len(dataset)} subgraphs = "
+        f"{worst_subgraph:.3e} ({status})"
     )
     return ok
 

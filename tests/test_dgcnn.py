@@ -105,3 +105,24 @@ class TestDGCNNTrainingAndExplaining:
         ):
             explanation = explainer.explain(graph, step_size=50)
             assert sorted(explanation.node_order.tolist()) == list(range(graph.n_real))
+
+    def test_subgraph_metrics_run_on_dgcnn(self, trained_dgcnn, small_dataset):
+        """The batched-scoring metrics accept any Φ with the same contract."""
+        from repro.baselines.simple import DegreeExplainer
+        from repro.explain.metrics import necessity, sufficiency, sweep_accuracy_curve
+
+        _, test_set = small_dataset
+        graph = test_set.graphs[0]
+        kept_sets = [np.arange(graph.n_real // 2), np.array([], dtype=int)]
+        np.testing.assert_array_equal(
+            trained_dgcnn.subgraph_proba_batch(graph, kept_sets),
+            np.vstack([trained_dgcnn.subgraph_proba(graph, k) for k in kept_sets]),
+        )
+        explanations = [
+            DegreeExplainer(trained_dgcnn).explain(g) for g in test_set.graphs[:3]
+        ]
+        fractions, accuracies = sweep_accuracy_curve(trained_dgcnn, explanations)
+        assert fractions.shape == accuracies.shape == (10,)
+        assert accuracies[-1] == 1.0
+        assert 0.0 <= sufficiency(trained_dgcnn, explanations, 0.2) <= 1.0
+        assert 0.0 <= necessity(trained_dgcnn, explanations, 0.2) <= 1.0
