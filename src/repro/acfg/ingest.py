@@ -250,15 +250,16 @@ def ingest_corpus(
     else:
         graphs = []
 
+    if policy.on_bad_input is None:
+        graphs = [from_sample(sample) for sample in corpus]
+
     if policy.verify is not None:
         # Imported here: repro.staticcheck depends on repro.acfg.
         from repro.staticcheck import verify_corpus
 
+        # Verify the graphs this ingest admits, not fresh conversions.
         with obs_span(f"{span_prefix}.verify"):
-            verify_corpus(corpus, mode=policy.verify)
-
-    if policy.on_bad_input is None:
-        graphs = [from_sample(sample) for sample in corpus]
+            verify_corpus(corpus, mode=policy.verify, graphs=graphs)
 
     lift_maps = None
     reduction = None
@@ -350,9 +351,11 @@ def ingest_sample(
     if stage_hook is not None:
         stage_hook("verify")
     if policy.verify is not None and not skip_cfg_checks:
-        from repro.staticcheck import Severity, verify_sample
+        from repro.staticcheck import Severity, verify_acfg
 
-        findings = verify_sample(sample)
+        # The admitted graph itself, so the classifier never sees an
+        # ACFG the verifier did not check.
+        findings = verify_acfg(graph, sample.cfg, sample.program)
         errors = [f for f in findings if f.severity >= Severity.ERROR]
         if errors:
             for finding in errors:

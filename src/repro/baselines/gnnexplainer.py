@@ -17,9 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.acfg.graph import ACFG
-from repro.explain.base import RankingExplainer
+from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import normalized_adjacency
+from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
 from repro.nn import Adam, Tensor, nll_loss_from_probs
 
 __all__ = ["GNNExplainerBaseline", "edge_mass_node_scores"]
@@ -69,55 +69,57 @@ class GNNExplainerBaseline(RankingExplainer):
     def rank_nodes(self, graph: ACFG) -> tuple[np.ndarray, np.ndarray]:
         mask_probs = self.optimize_mask(graph)
         scores = edge_mass_node_scores(mask_probs, graph.n_real)
-        order = np.argsort(-scores, kind="stable")
-        return order, scores
+        return rank_by_score(scores), scores
 
     def optimize_mask(self, graph: ACFG) -> np.ndarray:
         """Learn the [N, N] soft edge mask for one graph.
 
         Returns the sigmoid mask probabilities restricted to the graph's
         (normalized) edges; entries off the edge support are zero.
+
+        The support is the nonzeros of the real-node Â, self-loops
+        included, and there is one logit per stored entry: every step
+        is a sparse forward over the real rows
+        (:meth:`GCNClassifier.weighted_edge_proba`).  The initial logits
+        are gathered from the same ``[N, N]`` draw the dense
+        parameterization used, so a seed gives the same mask.
         """
         rng = np.random.default_rng(self.seed)
-        n = graph.n
-        active = np.zeros(n, dtype=bool)
-        active[: graph.n_real] = True
-
-        a_hat = normalized_adjacency(graph.adjacency, active)
-        support = a_hat > 0
+        n, n_real = graph.n, graph.n_real
+        edges = self_looped_edges(graph.adjacency, n_real)
+        rows, cols, _ = edges
+        a_hat = Tensor(
+            masked_normalized_csr(edges, np.ones((1, n_real), dtype=bool)).data
+        )
         target = self.model.predict(graph)
 
         # Mask logits start slightly positive: begin from (almost) the
         # full graph and let the size term prune.
-        logits = Tensor(rng.normal(1.0, 0.1, size=(n, n)), requires_grad=True)
-        support_tensor = Tensor(support.astype(np.float64))
-        a_hat_tensor = Tensor(a_hat)
+        logits = Tensor(
+            rng.normal(1.0, 0.1, size=(n, n))[rows, cols], requires_grad=True
+        )
         optimizer = Adam([logits], lr=self.lr)
 
         for _ in range(self.epochs):
             optimizer.zero_grad()
-            mask = logits.sigmoid() * support_tensor
-            masked_a_hat = a_hat_tensor * mask
-            z = self.model.embed_normalized(masked_a_hat, graph.features, active)
-            probs = self.model.classify(z)
+            mask = logits.sigmoid()
+            probs = self.model.weighted_edge_proba(graph, rows, cols, a_hat * mask)
             prediction_loss = nll_loss_from_probs(probs, target, eps=1e-12)
             size_loss = mask.sum() * self.size_weight
-            entropy_loss = self._mask_entropy(logits, support_tensor) * self.entropy_weight
+            entropy_loss = self._mask_entropy(mask) * self.entropy_weight
             loss = prediction_loss + size_loss + entropy_loss
             loss.backward()
             optimizer.step()
 
-        final = 1.0 / (1.0 + np.exp(-logits.numpy()))
-        return final * support
+        final = np.zeros((n, n))
+        final[rows, cols] = 1.0 / (1.0 + np.exp(-logits.numpy()))
+        return final
 
     @staticmethod
-    def _mask_entropy(logits: Tensor, support: Tensor) -> Tensor:
+    def _mask_entropy(probs: Tensor) -> Tensor:
         """Mean binary entropy of the mask (pushes entries toward 0/1)."""
-        probs = logits.sigmoid()
         entropy = -(
             probs * probs.log(eps=1e-12)
             + (1.0 - probs) * (1.0 - probs).log(eps=1e-12)
         )
-        masked = entropy * support
-        denominator = max(float(support.numpy().sum()), 1.0)
-        return masked.sum() * (1.0 / denominator)
+        return entropy.sum() * (1.0 / max(entropy.size, 1))

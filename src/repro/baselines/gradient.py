@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.acfg.graph import ACFG
-from repro.explain.base import RankingExplainer
+from repro.explain.base import RankingExplainer, rank_by_score
 from repro.nn.tensor import Tensor
 
 __all__ = ["GradientExplainer"]
@@ -45,5 +45,4 @@ class GradientExplainer(RankingExplainer):
             scores = np.linalg.norm(
                 np.asarray(x.grad, dtype=np.float64)[:n_real], axis=1
             )
-        order = np.argsort(-scores, kind="stable")
-        return order, scores
+        return rank_by_score(scores), scores

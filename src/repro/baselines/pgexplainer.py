@@ -24,7 +24,7 @@ import numpy as np
 from repro.acfg.dataset import ACFGDataset
 from repro.acfg.graph import ACFG
 from repro.baselines.gnnexplainer import edge_mass_node_scores
-from repro.explain.base import RankingExplainer
+from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.cache import EmbeddingCache
 from repro.gnn.model import GCNClassifier
 from repro.nn import Adam, Dense, Module, Tensor, nll_loss_from_probs, no_grad
@@ -187,8 +187,7 @@ class PGExplainerBaseline(RankingExplainer):
             probabilities = 1.0 / (1.0 + np.exp(-logits.reshape(-1)))
             weights[cache.edges[:, 0], cache.edges[:, 1]] = probabilities
         scores = edge_mass_node_scores(weights, graph.n_real)
-        order = np.argsort(-scores, kind="stable")
-        return order, scores
+        return rank_by_score(scores), scores
 
     # ------------------------------------------------------------------
     # shared plumbing

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.acfg.graph import ACFG
-from repro.explain.base import RankingExplainer
+from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.model import GCNClassifier
 
 __all__ = ["RandomExplainer", "DegreeExplainer"]
@@ -43,5 +43,4 @@ class DegreeExplainer(RankingExplainer):
         real = graph.adjacency[: graph.n_real, : graph.n_real]
         degree = (real > 0).sum(axis=0) + (real > 0).sum(axis=1)
         scores = degree.astype(np.float64)
-        order = np.argsort(-scores, kind="stable")
-        return order, scores
+        return rank_by_score(scores), scores

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.acfg.graph import ACFG
-from repro.explain.base import RankingExplainer
+from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.model import GCNClassifier
 
 __all__ = ["SubgraphXBaseline", "shapley_score", "shapley_scores"]
@@ -233,8 +233,7 @@ class SubgraphXBaseline(RankingExplainer):
             rng,
             self.shapley_samples,
         )
-        shapley = dict(zip(survivors, values.tolist()))
-        survivor_order = sorted(survivors, key=lambda i: shapley[i], reverse=True)
+        survivor_order = [survivors[k] for k in rank_by_score(values)]
 
         order = np.array(
             survivor_order + list(reversed(pruned_in_order)), dtype=int

@@ -23,7 +23,29 @@ from repro.explain.explanation import Explanation, SubgraphLevel, kept_count
 from repro.gnn.model import GCNClassifier
 from repro.obs import span as obs_span
 
-__all__ = ["Explainer", "RankingExplainer", "ladder_from_order", "level_fractions"]
+__all__ = [
+    "Explainer",
+    "RankingExplainer",
+    "ladder_from_order",
+    "level_fractions",
+    "rank_by_score",
+]
+
+#: Scores equal to this many decimals count as tied in a ranking.
+RANK_DECIMALS = 12
+
+
+def rank_by_score(scores: np.ndarray) -> np.ndarray:
+    """Indices ordered by descending score; ties go to the lower index.
+
+    Scores are compared rounded to :data:`RANK_DECIMALS` decimals, so
+    two scores that differ only by summation order (dense versus sparse
+    arithmetic, batched versus per-call scoring) rank the same way.
+    Rounding is monotone: it can merge near-ties, never reorder
+    distinct scores.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    return np.lexsort((np.arange(scores.size), -np.round(scores, RANK_DECIMALS)))
 
 
 def level_fractions(step_size: int) -> list[float]:

@@ -41,19 +41,20 @@ fuzzer's "typed result or bust" invariant holds on hostile inputs.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.acfg.graph import ACFG
-from repro.explain.base import RankingExplainer
+from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import normalized_adjacency
-from repro.nn import Adam, Tensor, no_grad
+from repro.gnn.normalize import self_looped_edges
+from repro.nn import Adam, Tensor, no_grad, segment_sum
 from repro.nn.guards import NumericalError, clip_grad_norm
 
-__all__ = ["CFExplainer", "CounterfactualResult"]
+__all__ = ["CFExplainer", "CounterfactualResult", "RenormalizedEdges"]
 
 
 @dataclass(frozen=True)
@@ -135,10 +136,8 @@ class CFExplainer(RankingExplainer):
     # RankingExplainer interface
     # ------------------------------------------------------------------
     def rank_nodes(self, graph: ACFG) -> tuple[np.ndarray, np.ndarray]:
-        result = self.counterfactual(graph)
-        scores = result.node_scores
-        order = np.argsort(-scores, kind="stable")
-        return order, scores
+        scores = self.counterfactual(graph).node_scores
+        return rank_by_score(scores), scores
 
     # ------------------------------------------------------------------
     # the counterfactual search
@@ -148,13 +147,10 @@ class CFExplainer(RankingExplainer):
         if graph.n_real == 0:
             raise ValueError("cannot explain a graph with no real nodes")
         n, n_real = graph.n, graph.n_real
-        active = np.zeros(n, dtype=bool)
-        active[:n_real] = True
         original = self.model.predict(graph)
 
-        sym = np.maximum(graph.adjacency, graph.adjacency.T)
-        iu, ju = np.nonzero(np.triu(sym[:n_real, :n_real], k=1))
-        if iu.size == 0:
+        edges = RenormalizedEdges(graph.adjacency, n_real)
+        if edges.count == 0:
             # Single-node or edgeless graph: there is nothing to delete,
             # so no counterfactual of this form exists.  Degrade.
             return CounterfactualResult(
@@ -167,59 +163,48 @@ class CFExplainer(RankingExplainer):
                 node_scores=np.zeros(n_real),
             )
 
-        support = np.zeros((n, n))
-        support[iu, ju] = 1.0
-        support[ju, iu] = 1.0
-        # Entries of A_sym outside the mask support (self-jump diagonal
-        # blocks) plus the active-node self-loops stay constant.
-        const = sym * (1.0 - support) + np.diag(active.astype(np.float64))
-        # Padded rows have zero degree; +1 keeps D^{-1/2} finite there
-        # (their Â rows are all-zero regardless).
-        degree_guard = (~active).astype(np.float64)[:, None]
-
         rng = np.random.default_rng(
             (self.seed, zlib.crc32(graph.name.encode("utf-8")))
         )
         # Start from "keep everything" (sigmoid(3) ≈ 0.95): the search
         # walks from the intact graph toward the decision boundary.
-        logits = Tensor(np.full((n, n), 3.0), requires_grad=True)
-        sym_t, support_t = Tensor(sym), Tensor(support)
-        const_t, guard_t = Tensor(const), Tensor(degree_guard)
+        logits = Tensor(np.full(edges.count, 3.0), requires_grad=True)
         optimizer = Adam([logits], lr=self.lr)
 
-        best: tuple[list[tuple[int, int]], int] | None = None
+        best: tuple[np.ndarray, int] | None = None
         iterations_run = 0
         try:
             for _ in range(self.iterations):
                 optimizer.zero_grad()
-                keep = self._sample_keep(logits, rng, n)
-                with_loops = sym_t * keep * support_t + const_t
-                degree = with_loops.sum(axis=1, keepdims=True) + guard_t
-                inv_sqrt = degree**-0.5
-                a_hat = with_loops * inv_sqrt * inv_sqrt.T
-                z = self.model.embed_normalized(a_hat, graph.features, active)
-                probs = self.model.classify(z)
+                keep = self._sample_keep(logits, rng, n, edges)
+                probs = self.model.weighted_edge_proba(
+                    graph, edges.rows, edges.cols, edges.a_hat(keep)
+                )
                 p_original = probs.reshape(-1)[original : original + 1]
                 flip_loss = -((1.0 - p_original).log(eps=1e-12).sum())
-                deletion_mass = ((1.0 - keep) * support_t).sum() * 0.5
+                deletion_mass = (1.0 - keep).sum()
                 loss = flip_loss + self.l1_weight * deletion_mass
                 loss.backward()
-                clip_grad_norm([logits], self.grad_clip)
+                # One logit stands for both directions of its edge, so
+                # its gradient is their sum; halve it, and clip the norm
+                # taken over both directions (√2 times this vector's).
+                logits.grad *= 0.5
+                clip_grad_norm([logits], self.grad_clip / math.sqrt(2.0))
                 optimizer.step()
                 iterations_run += 1
 
-                pairs = self._thresholded_pairs(logits, iu, ju)
-                if pairs and (best is None or len(pairs) < len(best[0])):
-                    flipped_to = self._classify_deleted(graph, pairs, active)
+                deleted = np.flatnonzero(self._keep_probs(logits) < 0.5)
+                if deleted.size and (best is None or deleted.size < best[0].size):
+                    flipped_to = self._classify_deleted(graph, edges, deleted)
                     if flipped_to != original:
-                        best = (pairs, flipped_to)
+                        best = (deleted, flipped_to)
         except NumericalError:
             # A poisoned gradient ends the search; whatever was learned
             # (and found) so far still stands.
             pass
 
-        best = self._greedy_prefix(graph, active, original, logits, iu, ju, best)
-        scores = self._deletion_mass_scores(logits, support, n_real)
+        best = self._greedy_prefix(graph, edges, original, logits, best)
+        scores = self._deletion_mass_scores(logits, edges, n_real)
         if best is None:
             return CounterfactualResult(
                 graph_name=graph.name,
@@ -230,13 +215,13 @@ class CFExplainer(RankingExplainer):
                 iterations_run=iterations_run,
                 node_scores=scores,
             )
-        pairs, flipped_to = best
+        deleted, flipped_to = best
         return CounterfactualResult(
             graph_name=graph.name,
             flipped=True,
             original_class=original,
             counterfactual_class=flipped_to,
-            deleted_edges=tuple(sorted(pairs)),
+            deleted_edges=tuple(sorted(edges.pairs(deleted))),
             iterations_run=iterations_run,
             node_scores=scores,
         )
@@ -245,77 +230,111 @@ class CFExplainer(RankingExplainer):
     # pieces
     # ------------------------------------------------------------------
     def _sample_keep(
-        self, logits: Tensor, rng: np.random.Generator, n: int
+        self,
+        logits: Tensor,
+        rng: np.random.Generator,
+        n: int,
+        edges: "RenormalizedEdges",
     ) -> Tensor:
-        """One symmetric binary-concrete sample of the keep mask."""
-        sym_logits = (logits + logits.T) * 0.5
+        """One symmetric binary-concrete sample of the per-edge keep mask.
+
+        The noise is drawn as the ``[N, N]`` array the dense
+        parameterization used, and each edge averages its two
+        directions, so a seed walks the same trajectory.
+        """
         u = rng.uniform(1e-6, 1.0 - 1e-6, size=(n, n))
-        noise = np.log(u) - np.log1p(-u)
-        noise = (noise + noise.T) * 0.5
-        return ((sym_logits + Tensor(noise)) * (1.0 / self.tau)).sigmoid()
+        forward, backward = u[edges.iu, edges.ju], u[edges.ju, edges.iu]
+        noise = (
+            (np.log(forward) - np.log1p(-forward))
+            + (np.log(backward) - np.log1p(-backward))
+        ) * 0.5
+        return ((logits + Tensor(noise)) * (1.0 / self.tau)).sigmoid()
 
-    def _keep_probs(self, logits: Tensor) -> np.ndarray:
-        probs = 1.0 / (1.0 + np.exp(-logits.numpy()))
-        return (probs + probs.T) * 0.5
-
-    def _thresholded_pairs(
-        self, logits: Tensor, iu: np.ndarray, ju: np.ndarray
-    ) -> list[tuple[int, int]]:
-        keep = self._keep_probs(logits)
-        return [
-            (int(i), int(j)) for i, j in zip(iu, ju) if keep[i, j] < 0.5
-        ]
+    @staticmethod
+    def _keep_probs(logits: Tensor) -> np.ndarray:
+        return 1.0 / (1.0 + np.exp(-logits.numpy()))
 
     def _classify_deleted(
-        self, graph: ACFG, pairs: list[tuple[int, int]], active: np.ndarray
+        self, graph: ACFG, edges: "RenormalizedEdges", deleted: np.ndarray
     ) -> int:
-        """The model's honest prediction after deleting ``pairs``.
+        """The model's honest prediction after deleting edges ``deleted``.
 
-        Both directions are zeroed and Â is recomputed from the edited
-        adjacency — deliberately bypassing ``model.embed``'s content-
-        keyed ÂCache, which must never see these transient edits.
+        Both directions are zeroed and Â is renormalized from the edited
+        edge list — never through ``model.embed``'s content-keyed
+        ÂCache, which must not see these transient edits.
         """
-        edited = graph.adjacency.copy()
-        for i, j in pairs:
-            edited[i, j] = 0.0
-            edited[j, i] = 0.0
-        a_hat = normalized_adjacency(edited, active)
+        keep = np.ones(edges.count)
+        keep[deleted] = 0.0
         with no_grad():
-            z = self.model.embed_normalized(Tensor(a_hat), graph.features, active)
-            probs = self.model.classify(z)
+            probs = self.model.weighted_edge_proba(
+                graph, edges.rows, edges.cols, edges.a_hat(Tensor(keep))
+            )
         return int(np.argmax(probs.numpy()))
 
     def _greedy_prefix(
         self,
         graph: ACFG,
-        active: np.ndarray,
+        edges: "RenormalizedEdges",
         original: int,
         logits: Tensor,
-        iu: np.ndarray,
-        ju: np.ndarray,
-        best: tuple[list[tuple[int, int]], int] | None,
-    ) -> tuple[list[tuple[int, int]], int] | None:
+        best: tuple[np.ndarray, int] | None,
+    ) -> tuple[np.ndarray, int] | None:
         """Shortest flipping prefix of the ascending-keep edge order."""
-        keep = self._keep_probs(logits)
-        order = sorted(
-            ((int(i), int(j)) for i, j in zip(iu, ju)),
-            key=lambda pair: keep[pair[0], pair[1]],
-        )
+        order = np.argsort(self._keep_probs(logits), kind="stable")
         # Only prefixes strictly smaller than the current best can help.
-        limit = len(best[0]) - 1 if best is not None else len(order)
+        limit = best[0].size - 1 if best is not None else order.size
         for k in range(1, limit + 1):
-            pairs = order[:k]
-            flipped_to = self._classify_deleted(graph, pairs, active)
+            flipped_to = self._classify_deleted(graph, edges, order[:k])
             if flipped_to != original:
-                return pairs, flipped_to
+                return order[:k], flipped_to
         return best
 
-    @staticmethod
     def _deletion_mass_scores(
-        logits: Tensor, support: np.ndarray, n_real: int
+        self, logits: Tensor, edges: "RenormalizedEdges", n_real: int
     ) -> np.ndarray:
         """Node score = soft deletion mass over incident edge directions."""
-        probs = 1.0 / (1.0 + np.exp(-logits.numpy()))
-        deletion = (1.0 - (probs + probs.T) * 0.5) * support
-        incident = deletion.sum(axis=0) + deletion.sum(axis=1)
-        return incident[:n_real].copy()
+        deletion = 1.0 - self._keep_probs(logits)
+        incident = np.bincount(
+            edges.iu, weights=deletion, minlength=n_real
+        ) + np.bincount(edges.ju, weights=deletion, minlength=n_real)
+        # Each incident edge counts once per direction.
+        return 2.0 * incident
+
+
+class RenormalizedEdges:
+    """CFExplainer's propagation matrix as a function of per-edge keeps.
+
+    ``rows``/``cols``/``weights`` list ``max(A, Aᵀ) + I`` on the real
+    nodes (:func:`repro.gnn.normalize.self_looped_edges`).  The
+    undirected edges ``(iu[e], ju[e])``, ``iu < ju``, are its
+    off-diagonal entries in row-major (``np.triu``) order; ``slot`` maps
+    every stored entry to its edge, or to ``count`` for the diagonal —
+    the self-loop plus any self-jump weight, which stays constant.
+    """
+
+    def __init__(self, adjacency: np.ndarray, n_real: int):
+        self.rows, self.cols, self.weights = self_looped_edges(adjacency, n_real)
+        upper = self.rows < self.cols
+        self.iu, self.ju = self.rows[upper], self.cols[upper]
+        self.count = int(self.iu.size)
+        self.n_real = n_real
+        low = np.minimum(self.rows, self.cols)
+        high = np.maximum(self.rows, self.cols)
+        self.slot = np.searchsorted(self.iu * n_real + self.ju, low * n_real + high)
+        self.slot[self.rows == self.cols] = self.count
+
+    def a_hat(self, keep: Tensor) -> Tensor:
+        """``D^{-1/2}(M ⊙ A_sym + I)D^{-1/2}`` entries for keep weights ``M``.
+
+        Differentiable in ``keep``; the degree renormalization is a
+        segment sum over the kept edge values.
+        """
+        constant = Tensor(np.ones(1))
+        values = self.weights * Tensor.concatenate([keep, constant])[self.slot]
+        degree = segment_sum(values, self.rows, self.n_real)
+        inv_sqrt = degree**-0.5
+        return values * inv_sqrt[self.rows] * inv_sqrt[self.cols]
+
+    def pairs(self, edges: np.ndarray) -> list[tuple[int, int]]:
+        """The undirected ``(i, j)`` node pairs of edge indices ``edges``."""
+        return [(int(self.iu[e]), int(self.ju[e])) for e in edges]

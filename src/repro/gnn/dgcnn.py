@@ -138,6 +138,19 @@ class DGCNNClassifier(Module):
             _, probs = self.forward_acfg(graph)
         return probs.numpy().copy()
 
+    def weighted_edge_proba(
+        self, graph: ACFG, rows: np.ndarray, cols: np.ndarray, values: Tensor
+    ) -> Tensor:
+        """Same contract as :meth:`GCNClassifier.weighted_edge_proba`.
+
+        SortPooling ranks all ``N`` rows, so the edge values are
+        scattered into the dense padded Â and the dense path runs.
+        """
+        active = np.zeros(graph.n, dtype=bool)
+        active[: graph.n_real] = True
+        a_hat = Tensor.ensure(values).scatter2d((graph.n, graph.n), rows, cols)
+        return self.classify(self.embed_normalized(a_hat, graph.features, active))
+
     def predict_subgraph(self, graph: ACFG, kept_nodes: np.ndarray) -> int:
         return int(np.argmax(self.subgraph_proba(graph, kept_nodes)))
 

@@ -10,14 +10,18 @@ staying size-independent).
 The classifier has two execution engines:
 
 * the per-graph dense path (``embed`` / ``forward_acfg`` / ``predict``)
-  — kept as the differentiable-adjacency entry point the mask-based
-  explainers backpropagate through;
+  — the path PGExplainer's mask training backpropagates through and
+  Algorithm 2's re-embeds run on;
 * the batched block-diagonal path (``embed_batch`` / ``logits_batch``
   / ``predict_batch``) over :class:`repro.gnn.batch.GraphBatch`, which
   runs a whole mini-batch in one sparse forward pass.  Both paths are
   numerically identical (tests/test_graph_batch.py).  Subgraph scoring
   (``subgraph_proba_batch``) runs on this path too, packing the
   node-masked copies of one graph into one batch.
+
+GNNExplainer and CFExplainer optimize one weight per stored entry of Â
+and call ``weighted_edge_proba``: a differentiable forward over the
+real rows only, with Â given as an edge list.
 """
 
 from __future__ import annotations
@@ -116,10 +120,9 @@ class GCNClassifier(Module):
     ) -> Tensor:
         """Φ_e given an already-normalized propagation matrix.
 
-        ``a_hat`` may be a differentiable :class:`Tensor` — the mask-based
-        baseline explainers (GNNExplainer, PGExplainer) optimize soft edge
-        masks by backpropagating through this path into the mask while the
-        GCN weights stay frozen.
+        ``a_hat`` may be a differentiable :class:`Tensor` — PGExplainer
+        optimizes its soft edge mask by backpropagating through this path
+        into the mask while the GCN weights stay frozen.
         """
         n = int(a_hat.shape[0])
         mask = Tensor(np.asarray(active_mask, dtype=np.float64).reshape(n, 1))
@@ -144,14 +147,34 @@ class GCNClassifier(Module):
         """
         return self.logits(z).softmax(axis=-1)
 
-    def logits(self, z: Tensor) -> Tensor:
+    def logits(self, z: Tensor, size: int | None = None) -> Tensor:
+        """Class logits ``[C]``; ``size`` is mean pooling's divisor, the
+        padded node count (default: the rows of ``z``)."""
         if self.pooling == "max":
             pooled = z.max(axis=0, keepdims=True)
         elif self.pooling == "sum":
             pooled = z.sum(axis=0, keepdims=True)
         else:  # mean over the padded size (constant divisor)
-            pooled = z.sum(axis=0, keepdims=True) * (1.0 / z.shape[0])
+            divisor = z.shape[0] if size is None else size
+            pooled = z.sum(axis=0, keepdims=True) * (1.0 / divisor)
         return self.classifier(pooled).reshape(-1)
+
+    def weighted_edge_proba(
+        self, graph: ACFG, rows: np.ndarray, cols: np.ndarray, values: Tensor
+    ) -> Tensor:
+        """Differentiable class probabilities ``[C]`` for an edge-valued Â.
+
+        ``(rows, cols, values)`` lists the entries of Â over the graph's
+        real nodes; ``values`` may carry gradient (a soft edge mask
+        times Â).  The GCN layers run on the ``n_real`` real rows only —
+        padding rows are all-zero in the dense path, so they change
+        neither max nor sum pooling — and mean pooling keeps the
+        padded-size divisor, as :meth:`logits_batch` does.
+        """
+        z = Tensor(graph.features[: graph.n_real])
+        for conv in self.convs:
+            z = conv.edge_weighted(rows, cols, values, z)
+        return self.logits(z, size=graph.n).softmax(axis=-1)
 
     # ------------------------------------------------------------------
     # batched block-diagonal engine

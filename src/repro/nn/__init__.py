@@ -42,6 +42,7 @@ from repro.nn.serialize import load_module_into, save_module
 from repro.nn.sparse import (
     CSRMatrix,
     csr_matmul,
+    edge_spmm,
     gcn_layer,
     segment_max,
     segment_starts,
@@ -70,6 +71,7 @@ __all__ = [
     "no_grad",
     "CSRMatrix",
     "csr_matmul",
+    "edge_spmm",
     "gcn_layer",
     "segment_starts",
     "segment_sum",

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.nn.backend import KernelWorkspace
 from repro.nn.init import glorot_uniform, he_normal
-from repro.nn.sparse import CSRMatrix, csr_matmul, gcn_layer
+from repro.nn.sparse import CSRMatrix, csr_matmul, edge_spmm, gcn_layer
 from repro.nn.tensor import Tensor
 
 __all__ = ["Module", "Dense", "GCNConv", "Sequential"]
@@ -168,6 +168,21 @@ class GCNConv(Module):
             + self.bias
         )
         return out if mask is None else out * mask
+
+    def edge_weighted(
+        self, rows: np.ndarray, cols: np.ndarray, weights: Tensor, x: Tensor
+    ) -> Tensor:
+        """The same propagation with Â given as a differentiable edge list.
+
+        ``weights[e]`` is the entry of Â at ``(rows[e], cols[e])`` over
+        the rows of ``x``; gradients reach the weights as well as ``x``
+        (:func:`repro.nn.sparse.edge_spmm`).
+        """
+        x = Tensor.ensure(x)
+        support = x @ self.weight
+        return self._activation(
+            edge_spmm(rows, cols, weights, support, x.shape[0]) + self.bias
+        )
 
 
 class Sequential(Module):

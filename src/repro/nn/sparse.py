@@ -19,8 +19,10 @@ optional :class:`~repro.nn.backend.KernelWorkspace` so repeated steps
 reuse output/gradient buffers instead of reallocating.
 
 The CSR matrix itself is a *constant* of the graph (no gradients flow
-into its values); differentiable adjacencies — the soft masks the
-baseline explainers optimize — keep using the dense tensor path.
+into its values).  Differentiable adjacencies — the soft edge masks the
+GNNExplainer and CFExplainer baselines optimize — go through
+:func:`edge_spmm`, whose matrix is an edge list with one tensor value
+per stored entry.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.nn.tensor import Tensor
 __all__ = [
     "CSRMatrix",
     "csr_matmul",
+    "edge_spmm",
     "gcn_layer",
     "segment_max",
     "segment_starts",
@@ -187,6 +190,52 @@ def csr_matmul(
         x._accumulate_owned(np.asarray(grad_x))
 
     return Tensor._from_op(np.asarray(data), (x,), backward, "csr_matmul")
+
+
+def _edge_csr(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
+) -> "_sp.csr_matrix":
+    """CSR matrix of an edge list; duplicate ``(row, col)`` pairs add."""
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return _sp.csr_matrix((values[order], cols[order], indptr), shape=shape)
+
+
+def edge_spmm(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    weights: Tensor,
+    x: Tensor,
+    num_rows: int,
+) -> Tensor:
+    """Edge-weighted sparse product: ``out[r] = Σ_{e: rows[e]=r} w_e · x[cols[e]]``.
+
+    The matrix is the edge list ``(rows, cols)`` with the tensor
+    ``weights`` as its values, so — unlike :func:`csr_matmul` — the
+    gradient flows into both operands: ``d loss/d x = Aᵀ @ grad`` and
+    ``d loss/d w_e = grad[rows[e]] · x[cols[e]]``.  Duplicate
+    ``(row, col)`` pairs add, each edge keeping its own gradient.
+    Output shape ``[num_rows, f]``.
+    """
+    weights, x = Tensor.ensure(weights), Tensor.ensure(x)
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
+        raise ValueError("rows, cols and weights must be 1-D of equal length")
+    mat = _edge_csr(rows, cols, weights.data, (num_rows, x.shape[0]))
+    data = np.asarray(get_backend().spmm(mat, x.data))
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            mat_t = _edge_csr(cols, rows, weights.data, (x.shape[0], num_rows))
+            x._accumulate_owned(np.asarray(get_backend().spmm(mat_t, grad)))
+        if weights.requires_grad:
+            weights._accumulate_owned(
+                np.einsum("ij,ij->i", grad[rows], x.data[cols])
+            )
+
+    return Tensor._from_op(data, (weights, x), backward, "edge_spmm")
 
 
 def gcn_layer(

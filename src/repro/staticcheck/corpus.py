@@ -6,8 +6,15 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.acfg.graph import ACFG
 from repro.malgen.corpus import LabeledSample
-from repro.staticcheck.verifier import Finding, FindingKind, Severity, verify_sample
+from repro.staticcheck.verifier import (
+    Finding,
+    FindingKind,
+    Severity,
+    verify_acfg,
+    verify_sample,
+)
 
 __all__ = [
     "CorpusVerification",
@@ -87,22 +94,33 @@ def verify_corpus(
     mode: str = "strict",
     *,
     dataflow: bool = True,
+    graphs: list[ACFG] | None = None,
 ) -> CorpusVerification:
     """Verify every sample of a corpus against the CFG/ACFG invariants.
 
     ``mode="strict"`` raises :class:`CorpusVerificationError` on any
     ERROR-severity finding; ``mode="warn"`` emits a ``UserWarning``
     instead.  Both return the full report (warnings/infos included).
+    ``graphs`` (one raw, unscaled ACFG per sample) checks those graphs
+    against their samples instead of converting each sample afresh.
     """
     if mode not in {"strict", "warn"}:
         raise ValueError(f"mode must be 'strict' or 'warn', got {mode!r}")
+    if graphs is not None and len(graphs) != len(corpus):
+        raise ValueError(f"{len(graphs)} graphs for {len(corpus)} samples")
     report = CorpusVerification()
-    for sample in corpus:
+    for index, sample in enumerate(corpus):
+        if graphs is None:
+            findings = verify_sample(sample, dataflow=dataflow)
+        else:
+            findings = verify_acfg(
+                graphs[index], sample.cfg, sample.program, dataflow=dataflow
+            )
         report.samples.append(
             SampleVerification(
                 name=sample.program.name,
                 family=sample.family,
-                findings=tuple(verify_sample(sample, dataflow=dataflow)),
+                findings=tuple(findings),
             )
         )
     if not report.ok:

@@ -105,14 +105,18 @@ def _run_corpus_verification(samples: int, seed: int) -> bool:
 
 
 def _run_batching_smoke(samples: int, seed: int, tolerance: float = 1e-8) -> bool:
-    """Batched engines against dense per-graph / per-subgraph references.
+    """Batched and edge-list engines against dense references.
 
-    Checks the mini-batch forward against ``forward_acfg`` and
-    ``subgraph_proba_batch`` against a dense forward of each subgraph.
+    Checks the mini-batch forward against ``forward_acfg``,
+    ``subgraph_proba_batch`` against a dense forward of each subgraph,
+    ``weighted_edge_proba`` at a unit mask against ``forward_acfg``, and
+    CFExplainer's renormalized edge Â at all-keep against
+    ``normalized_adjacency``.
     """
     import numpy as np
 
     from repro.acfg import ACFGDataset
+    from repro.explain.counterfactual import RenormalizedEdges
     from repro.gnn import GCNClassifier, GraphBatch, normalized_adjacency
     from repro.malgen import generate_corpus
     from repro.nn import Tensor, no_grad
@@ -123,10 +127,10 @@ def _run_batching_smoke(samples: int, seed: int, tolerance: float = 1e-8) -> boo
     rng = np.random.default_rng(seed)
     with no_grad():
         z_batch, logits_batch = model.forward_batch(batch)
-    worst = worst_subgraph = 0.0
+    worst = worst_subgraph = worst_edges = 0.0
     for i, graph in enumerate(dataset):
         with no_grad():
-            z, _ = model.forward_acfg(graph)
+            z, probs_acfg = model.forward_acfg(graph)
             logits = model.logits(z)
         worst = max(
             worst,
@@ -145,13 +149,29 @@ def _run_batching_smoke(samples: int, seed: int, tolerance: float = 1e-8) -> boo
                 )
                 reference = model.classify(z).numpy()
             worst_subgraph = max(worst_subgraph, float(np.max(np.abs(probs - reference))))
-    ok = max(worst, worst_subgraph) <= tolerance
+        n_real = graph.n_real
+        edges = RenormalizedEdges(graph.adjacency, n_real)
+        active = np.arange(graph.n) < n_real
+        dense = normalized_adjacency(graph.adjacency, active)[:n_real, :n_real]
+        with no_grad():
+            a_hat = edges.a_hat(Tensor(np.ones(edges.count)))
+            probs = model.weighted_edge_proba(graph, edges.rows, edges.cols, a_hat)
+        worst_edges = max(
+            worst_edges,
+            float(np.max(np.abs(probs.numpy() - probs_acfg.numpy()))),
+            float(np.max(np.abs(a_hat.numpy() - dense[edges.rows, edges.cols]))),
+        )
+        off_support = np.ones_like(dense, dtype=bool)
+        off_support[edges.rows, edges.cols] = False
+        worst_edges = max(worst_edges, float(np.max(np.abs(dense[off_support]), initial=0.0)))
+    ok = max(worst, worst_subgraph, worst_edges) <= tolerance
     status = "ok" if ok else "FAILED"
     print(
         f"[check] batching smoke: {len(dataset)} graphs, "
         f"max |batched - per-graph| = {worst:.3e}, "
         f"max |batched - dense| over {4 * len(dataset)} subgraphs = "
-        f"{worst_subgraph:.3e} ({status})"
+        f"{worst_subgraph:.3e}, max |edge list - dense| = {worst_edges:.3e} "
+        f"({status})"
     )
     return ok
 

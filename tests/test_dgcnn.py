@@ -106,6 +106,21 @@ class TestDGCNNTrainingAndExplaining:
             explanation = explainer.explain(graph, step_size=50)
             assert sorted(explanation.node_order.tolist()) == list(range(graph.n_real))
 
+    def test_mask_explainers_match_dense_oracle(self, trained_dgcnn, small_dataset):
+        """GNNExplainer and CFExplainer reach DGCNN through its
+        ``weighted_edge_proba`` and match their dense bodies."""
+        from repro.baselines import GNNExplainerBaseline
+        from repro.explain import CFExplainer
+        from tests.test_edge_masks import (
+            assert_counterfactual_matches,
+            assert_mask_matches,
+        )
+
+        _, test_set = small_dataset
+        graph = test_set.graphs[1]
+        assert_mask_matches(GNNExplainerBaseline(trained_dgcnn, epochs=4), graph)
+        assert_counterfactual_matches(CFExplainer(trained_dgcnn, iterations=6), graph)
+
     def test_subgraph_metrics_run_on_dgcnn(self, trained_dgcnn, small_dataset):
         """The batched-scoring metrics accept any Φ with the same contract."""
         from repro.baselines.simple import DegreeExplainer
