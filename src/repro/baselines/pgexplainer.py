@@ -201,7 +201,7 @@ class PGExplainerBaseline(RankingExplainer):
         support = (a_hat > 0) & ~np.eye(graph.n, dtype=bool)
         edges = np.argwhere(support)
         if self.embedding_cache is not None:
-            cached = self.embedding_cache.forward(graph)
+            cached = self.embedding_cache.lookup(graph) or self.embedding_cache.compute(graph)
             z, target = cached.z, cached.predicted_class
         else:
             with no_grad():

@@ -1,13 +1,14 @@
 """Algorithm 2 — the interpretation stage of CFGExplainer.
 
 Starting from the full graph, the trained scorer Θ_s is probed
-iteratively: at each step the adjacency of the ``step_size`` percent
-lowest-scoring remaining nodes is zeroed out (rows and columns), the
-embeddings are recomputed through the frozen Φ_e on the pruned
-adjacency, and the loop repeats until only ``step_size`` percent of
-nodes remain.  The removal order, reversed, is the node importance
-ordering ``V_ordered``; the recorded adjacency snapshots, reversed, are
-the subgraph ladder.
+iteratively: at each step the ``step_size`` percent lowest-scoring
+remaining nodes lose their edges (and, by default, their features),
+the embeddings are recomputed through the frozen Φ_e on the pruned
+graph, and the loop repeats until only ``step_size`` percent of nodes
+remain.  The removal order, reversed, is the node importance ordering
+``V_ordered``; the subgraph ladder is its prefixes.  Pruned rungs run on
+the real rows with Â from the edge list, bit-identical to the padded
+dense re-embed (DESIGN.md, "Algorithm 2 on the edge list").
 """
 
 from __future__ import annotations
@@ -16,14 +17,29 @@ import numpy as np
 
 from repro.acfg.graph import ACFG
 from repro.core.model import CFGExplainerModel
-from repro.explain.base import Explainer, level_fractions
-from repro.explain.explanation import Explanation, SubgraphLevel, kept_count
+from repro.explain.base import Explainer, ladder_from_order, level_fractions
+from repro.explain.explanation import Explanation, kept_count
 from repro.gnn.cache import EmbeddingCache
 from repro.gnn.model import GCNClassifier
+from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
 from repro.nn import Tensor, no_grad
-from repro.obs import span as obs_span
+from repro.obs import add_counter, span as obs_span
 
 __all__ = ["interpret", "CFGExplainer"]
+
+
+def rung_a_hat(edges: tuple[np.ndarray, np.ndarray, np.ndarray], keep: np.ndarray) -> np.ndarray:
+    """Dense real-node Â of the rung that keeps the real nodes ``keep``.
+
+    Edges with a pruned endpoint are dropped; a pruned node stays active
+    with a self-loop of weight 1 (its row, self-jump included, is zeroed).
+    """
+    rows, cols, weights = edges
+    loop = rows == cols
+    alive = (keep[rows] & keep[cols]) | loop
+    weights = np.where(loop & ~keep[rows], 1.0, weights)
+    kept = (rows[alive], cols[alive], weights[alive])
+    return masked_normalized_csr(kept, np.ones((1, keep.size), dtype=bool)).toarray()
 
 
 def interpret(
@@ -43,94 +59,89 @@ def interpret(
       ``round(level% × N_real)`` so any graph size works and every
       ladder rung holds exactly its advertised share of nodes.
     * With ``mask_features=True`` the features of pruned nodes are
-      zeroed alongside their adjacency rows/columns when re-scoring
-      (the paper's pseudocode only masks ``A``).  The subgraph the
-      evaluation classifies has both masked, so this keeps the
-      re-scored embeddings on the distribution the scores are used
-      against; pass ``False`` for the literal Algorithm 2.
+      zeroed alongside their edges when re-scoring (the paper's
+      pseudocode only masks ``A``).  The subgraph the evaluation
+      classifies has both masked, so this keeps the re-scored
+      embeddings on the distribution the scores are used against;
+      pass ``False`` for the literal Algorithm 2.
 
     ``embedding_cache`` (the pipeline's shared
     :class:`~repro.gnn.EmbeddingCache`) serves the full-graph rung —
-    Z of the first iteration and the predicted class — without
-    re-running Φ; pruned rungs always recompute, as they must.
+    Z of the first iteration and the predicted class — without storing
+    graphs it does not hold.  Pruned rungs always recompute.
     """
     if graph.n_real == 0:
         raise ValueError("cannot interpret a graph with no real nodes")
-    fractions = level_fractions(step_size)  # [step%, ..., 100%]
     n_real = graph.n_real
 
-    adjacency = graph.adjacency.copy()
-    features = np.asarray(graph.features, dtype=np.float64).copy()
+    edges = self_looped_edges(graph.adjacency, n_real)
+    features = np.asarray(graph.features[:n_real], dtype=np.float64).copy()
+    keep = np.ones(n_real, dtype=bool)
+    active = np.ones(n_real, dtype=bool)
+    cached = None if embedding_cache is None else (
+        embedding_cache.lookup(graph) or embedding_cache.compute(graph)
+    )
+
+    def rescore() -> np.ndarray:
+        with no_grad():
+            z = gnn.embed_normalized(Tensor(rung_a_hat(edges, keep)), features, active)
+        # Θ_s scores the padded rows too (zero, as Φ_e masks them): its
+        # BLAS rounding depends on the row count.
+        padded = np.zeros((graph.n, z.shape[1]))
+        padded[:n_real] = z.numpy()
+        return explainer.node_scores(Tensor(padded), n_real)
+
     remaining = list(range(n_real))
     removal_order: list[int] = []
-    snapshots: list[np.ndarray] = []
-
-    active_mask = np.zeros(graph.n, dtype=bool)
-    active_mask[:n_real] = True
-
     first_pass_scores: np.ndarray | None = None
+    passes = 0  # scoring passes run; graphs under 10 nodes skip rungs
 
     # Walk the ladder top-down: 100%, 100-step, ..., step.
-    target_sizes = [kept_count(f, n_real) for f in fractions]
+    target_sizes = [kept_count(f, n_real) for f in level_fractions(step_size)]
     for next_target in reversed([0] + target_sizes[:-1]):
-        snapshots.append(adjacency.copy())
         if next_target >= len(remaining):
             continue
-        if embedding_cache is not None and not removal_order:
-            # Full-graph rung: adjacency/features are still untouched
-            # copies of the input graph, so the shared cache applies.
-            z = Tensor(embedding_cache.forward(graph).z)
+        if cached is not None and not removal_order:
+            # Full-graph rung: the cache's batched forward applies.
+            scores = explainer.node_scores(Tensor(cached.z), n_real)
         else:
-            with no_grad():
-                z = gnn.embed(adjacency, features, active_mask)
-        scores = explainer.node_scores(z, n_real)
+            scores = rescore()
+        passes += 1
         if first_pass_scores is None:
             first_pass_scores = scores.copy()
         if next_target == 0:
-            break  # the smallest rung is recorded; no need to prune further
+            break  # the smallest rung is scored; no need to prune further
         prune_count = len(remaining) - next_target
         # Lines 8-18: repeatedly drop the lowest-scoring remaining node.
         remaining.sort(key=lambda i: scores[i])
         pruned, remaining = remaining[:prune_count], remaining[prune_count:]
         for node in sorted(pruned, key=lambda i: scores[i]):
             removal_order.append(node)
-            adjacency[node, :] = 0.0
-            adjacency[:, node] = 0.0
+            keep[node] = False
             if mask_features:
                 features[node, :] = 0.0
 
     # Line 19: removal order reversed = importance order (most important
     # first).  Nodes never pruned (the final rung) are the most
-    # important of all; order them by their final-pass scores.
-    with no_grad():
-        z = gnn.embed(adjacency, features, active_mask)
-    final_scores = explainer.node_scores(z, n_real)
+    # important of all; order them by the final rung's re-embedded
+    # scores, which the last pass holds unless the cache served it.
+    final_scores = scores
+    if cached is not None and not removal_order:
+        final_scores = rescore()
+        passes += 1
     survivors = sorted(remaining, key=lambda i: final_scores[i], reverse=True)
     node_order = np.array(survivors + list(reversed(removal_order)), dtype=int)
 
-    # Line 20: snapshots reversed = smallest subgraph first.  Snapshot k
-    # (after reversal) corresponds to fraction fractions[k].
-    snapshots.reverse()
-    levels = [
-        SubgraphLevel(
-            fraction=fraction,
-            kept_nodes=node_order[:size].copy(),
-            adjacency=snapshot,
-        )
-        for fraction, size, snapshot in zip(fractions, target_sizes, snapshots)
-    ]
-
-    predicted_class = (
-        embedding_cache.forward(graph).predicted_class
-        if embedding_cache is not None
-        else gnn.predict(graph)
-    )
+    add_counter("explain.iterations", passes)
     return Explanation(
         graph=graph,
         explainer_name="CFGExplainer",
-        predicted_class=predicted_class,
+        predicted_class=(
+            cached.predicted_class if cached is not None else gnn.predict(graph)
+        ),
         node_order=node_order,
-        levels=levels,
+        # Line 20: the ladder, smallest subgraph first.
+        levels=ladder_from_order(graph, node_order, step_size),
         node_scores=first_pass_scores,
     )
 
@@ -152,6 +163,7 @@ class CFGExplainer(Explainer):
 
     def explain(self, graph: ACFG, step_size: int = 10) -> Explanation:
         with obs_span("explain.CFGExplainer") as explain_span:
+            # interpret credits one ``explain.iterations`` per scoring pass.
             explanation = interpret(
                 self.theta,
                 self.model,
@@ -160,6 +172,4 @@ class CFGExplainer(Explainer):
                 embedding_cache=self.embedding_cache,
             )
             explain_span.add("explain.graphs", 1)
-            # Algorithm 2 re-scores once per ladder rung.
-            explain_span.add("explain.iterations", len(explanation.levels))
             return explanation

@@ -295,6 +295,37 @@ def _build_classifier(config: ExperimentConfig, train_set, num_classes: int):
     )
 
 
+def _explainers(
+    config: ExperimentConfig,
+    gnn: GCNClassifier,
+    theta: CFGExplainerModel,
+    pg: PGExplainerBaseline,
+    embedding_cache: EmbeddingCache,
+    seed: int,
+) -> dict[str, Explainer]:
+    """The five explainers a pipeline run serves, in table order."""
+    return {
+        "CFGExplainer": CFGExplainer(gnn, theta, embedding_cache=embedding_cache),
+        "GNNExplainer": GNNExplainerBaseline(
+            gnn, epochs=config.gnnexplainer_epochs, seed=seed
+        ),
+        "SubgraphX": SubgraphXBaseline(
+            gnn,
+            mcts_iterations=config.subgraphx_iterations,
+            shapley_samples=config.subgraphx_shapley_samples,
+            seed=seed,
+        ),
+        "PGExplainer": pg,
+        "CFExplainer": CFExplainer(
+            gnn,
+            iterations=config.cfexplainer_iterations,
+            lr=config.cfexplainer_lr,
+            l1_weight=config.cfexplainer_l1,
+            seed=seed,
+        ),
+    }
+
+
 def build_untrained_artifacts(config: ExperimentConfig) -> PipelineArtifacts:
     """Build the full pipeline skeleton without training anything.
 
@@ -331,26 +362,6 @@ def build_untrained_artifacts(config: ExperimentConfig) -> PipelineArtifacts:
         seed=config.seed,
         embedding_cache=embedding_cache,
     )
-    explainers: dict[str, Explainer] = {
-        "CFGExplainer": CFGExplainer(gnn, theta, embedding_cache=embedding_cache),
-        "GNNExplainer": GNNExplainerBaseline(
-            gnn, epochs=config.gnnexplainer_epochs, seed=config.seed
-        ),
-        "SubgraphX": SubgraphXBaseline(
-            gnn,
-            mcts_iterations=config.subgraphx_iterations,
-            shapley_samples=config.subgraphx_shapley_samples,
-            seed=config.seed,
-        ),
-        "PGExplainer": pg,
-        "CFExplainer": CFExplainer(
-            gnn,
-            iterations=config.cfexplainer_iterations,
-            lr=config.cfexplainer_lr,
-            l1_weight=config.cfexplainer_l1,
-            seed=config.seed,
-        ),
-    }
     return PipelineArtifacts(
         config=config,
         corpus=corpus,
@@ -359,7 +370,7 @@ def build_untrained_artifacts(config: ExperimentConfig) -> PipelineArtifacts:
         scaler=scaler,
         gnn=gnn,
         gnn_test_accuracy=float("nan"),
-        explainers=explainers,
+        explainers=_explainers(config, gnn, theta, pg, embedding_cache, config.seed),
         samples_by_name={s.program.name: s for s in corpus},
         embedding_cache=embedding_cache,
         quarantine=dataset.quarantine,
@@ -611,27 +622,6 @@ def run_pipeline(
         offline["SubgraphX"] = 0.0
         offline["CFExplainer"] = 0.0
 
-    explainers: dict[str, Explainer] = {
-        "CFGExplainer": CFGExplainer(gnn, theta, embedding_cache=embedding_cache),
-        "GNNExplainer": GNNExplainerBaseline(
-            gnn, epochs=config.gnnexplainer_epochs, seed=rng_seed
-        ),
-        "SubgraphX": SubgraphXBaseline(
-            gnn,
-            mcts_iterations=config.subgraphx_iterations,
-            shapley_samples=config.subgraphx_shapley_samples,
-            seed=rng_seed,
-        ),
-        "PGExplainer": pg,
-        "CFExplainer": CFExplainer(
-            gnn,
-            iterations=config.cfexplainer_iterations,
-            lr=config.cfexplainer_lr,
-            l1_weight=config.cfexplainer_l1,
-            seed=rng_seed,
-        ),
-    }
-
     return PipelineArtifacts(
         config=config,
         corpus=corpus,
@@ -640,7 +630,7 @@ def run_pipeline(
         scaler=scaler,
         gnn=gnn,
         gnn_test_accuracy=gnn_accuracy,
-        explainers=explainers,
+        explainers=_explainers(config, gnn, theta, pg, embedding_cache, rng_seed),
         offline_training_seconds=offline,
         samples_by_name={s.program.name: s for s in corpus},
         embedding_cache=embedding_cache,

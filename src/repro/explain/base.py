@@ -61,19 +61,15 @@ def ladder_from_order(
     graph: ACFG, node_order: np.ndarray, step_size: int
 ) -> list[SubgraphLevel]:
     """Build the subgraph ladder for a fixed importance ordering."""
-    levels = []
-    for fraction in level_fractions(step_size):
-        kept = np.asarray(
-            node_order[: kept_count(fraction, graph.n_real)], dtype=int
+    return [
+        SubgraphLevel(
+            fraction=fraction,
+            kept_nodes=np.asarray(
+                node_order[: kept_count(fraction, graph.n_real)], dtype=int
+            ),
         )
-        levels.append(
-            SubgraphLevel(
-                fraction=fraction,
-                kept_nodes=kept,
-                adjacency=graph.subgraph_adjacency(kept),
-            )
-        )
-    return levels
+        for fraction in level_fractions(step_size)
+    ]
 
 
 class Explainer(abc.ABC):

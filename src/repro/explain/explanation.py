@@ -41,14 +41,13 @@ class SubgraphLevel:
     """One rung of the subgraph ladder.
 
     ``fraction`` is the kept share of real nodes (0.1 = top 10%);
-    ``kept_nodes`` are real-node indices; ``adjacency`` is the full
-    [N, N] matrix with pruned rows/columns zeroed (Algorithm 2's shape-
-    preserving masking).
+    ``kept_nodes`` are real-node indices.  The rung's [N, N] matrix
+    (Algorithm 2's shape-preserving masking) is
+    ``graph.subgraph_adjacency(kept_nodes)``.
     """
 
     fraction: float
     kept_nodes: np.ndarray
-    adjacency: np.ndarray
 
 
 @dataclass

@@ -13,22 +13,18 @@ Two cost centers dominated the seed pipeline's redundant work:
   hands them to CFGExplainer training, PGExplainer's offline stage and
   the Figure 2 / Tables III–IV experiments.
 
-Keys are content hashes (array bytes), not object identities:
-Algorithm 2 mutates adjacency buffers in place between forward passes,
-so identity-keyed caching would silently serve stale matrices.  Hashing
-is O(N²) but a small constant compared to normalization or a forward
-pass, and it makes the caches safe for arbitrary callers.  Callers
-that hold an :class:`~repro.acfg.graph.ACFG` skip even that constant:
+Keys are content hashes (array bytes), not object identities, so a
+caller that mutates an array in place never gets a stale entry.  Callers
+that hold an :class:`~repro.acfg.graph.ACFG` skip even the O(N²) hash:
 the graph memoizes its own digests (``ACFG.content_key`` /
-``ACFG.embed_key``) and passes them in, so repeated passes over the
-same graphs hash each one exactly once process-wide.
+``ACFG.embed_key``), so each graph is hashed once process-wide.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -209,65 +205,58 @@ class EmbeddingCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def populate(self, dataset: "ACFGDataset | list[ACFG]", batch_size: int = 32) -> None:
-        """Run batched forward passes over every graph not yet cached."""
+    def _compute(self, graphs: list[ACFG], batch_size: int) -> Iterator[tuple[ACFG, CachedForward]]:
+        """Frozen-GNN forward results for ``graphs``, in batched passes."""
         from repro.gnn.batch import iter_batches
         from repro.nn import no_grad
 
-        pending = [g for g in dataset if self._key(g) not in self._entries]
-        if not pending:
-            return
+        def entry(z: np.ndarray, probs: np.ndarray) -> CachedForward:
+            return CachedForward(z.copy(), probs.copy(), int(np.argmax(probs)))
+
         if not hasattr(self.model, "embed_batch"):
             # Alternative Φ implementations without the batched engine
             # (e.g. DGCNN): one dense forward per graph.
-            for graph in pending:
-                mask = np.zeros(graph.n, dtype=bool)
-                mask[: graph.n_real] = True
+            for graph in graphs:
                 with no_grad():
-                    z = self.model.embed(graph.adjacency, graph.features, mask)
-                    probs = self.model.classify(z)
-                probs_data = probs.numpy().reshape(-1).copy()
-                self._entries[self._key(graph)] = CachedForward(
-                    z=z.numpy().copy(),
-                    probs=probs_data,
-                    predicted_class=int(np.argmax(probs_data)),
-                )
+                    z, probs = self.model.forward_acfg(graph)
+                yield graph, entry(z.numpy(), probs.numpy().reshape(-1))
             return
-        for batch in iter_batches(
-            pending, batch_size, a_hat_cache=getattr(self.model, "a_hat_cache", None)
-        ):
+        a_hat_cache = getattr(self.model, "a_hat_cache", None)
+        for batch in iter_batches(graphs, batch_size, a_hat_cache=a_hat_cache):
             with no_grad():
                 z = self.model.embed_batch(batch)
-                probs = self.model.logits_batch(z, batch).softmax(axis=-1)
-            z_data, probs_data = z.numpy(), probs.numpy()
+                probs = self.model.logits_batch(z, batch).softmax(axis=-1).numpy()
             for i, graph in enumerate(batch.graphs):
-                rows = slice(batch.offsets[i], batch.offsets[i + 1])
-                entry = CachedForward(
-                    z=z_data[rows].copy(),
-                    probs=probs_data[i].copy(),
-                    predicted_class=int(np.argmax(probs_data[i])),
-                )
-                self._entries[self._key(graph)] = entry
+                yield graph, entry(z.numpy()[batch.offsets[i] : batch.offsets[i + 1]], probs[i])
+
+    def populate(self, dataset: "ACFGDataset | list[ACFG]", batch_size: int = 32) -> None:
+        """Run batched forward passes over every graph not yet cached."""
+        pending = [g for g in dataset if self._key(g) not in self._entries]
+        for graph, entry in self._compute(pending, batch_size):
+            self._entries[self._key(graph)] = entry
+
+    def compute(self, graph: "ACFG") -> CachedForward:
+        """What :meth:`populate` would store for ``graph``, without storing it
+        (a served request would otherwise grow the cache by one entry)."""
+        ((_, entry),) = self._compute([graph], batch_size=1)
+        return entry
 
     def lookup(self, graph: "ACFG") -> CachedForward | None:
         entry = self._entries.get(self._key(graph))
-        if entry is not None:
+        if entry is None:
+            self.misses += 1
+            add_counter("cache.embedding.misses")
+        else:
             self.hits += 1
             add_counter("cache.embedding.hits")
         return entry
 
     def forward(self, graph: "ACFG") -> CachedForward:
         """Cached forward results, computing (and storing) on a miss."""
-        key = self._key(graph)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            add_counter("cache.embedding.hits")
-            return entry
-        self.misses += 1
-        add_counter("cache.embedding.misses")
-        self.populate([graph], batch_size=1)
-        return self._entries[key]
+        entry = self.lookup(graph)
+        if entry is None:
+            entry = self._entries[self._key(graph)] = self.compute(graph)
+        return entry
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self.hits, self.misses, len(self._entries), -1)

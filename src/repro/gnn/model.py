@@ -10,8 +10,8 @@ staying size-independent).
 The classifier has two execution engines:
 
 * the per-graph dense path (``embed`` / ``forward_acfg`` / ``predict``)
-  — the path PGExplainer's mask training backpropagates through and
-  Algorithm 2's re-embeds run on;
+  — PGExplainer's mask training backpropagates through it, and
+  Algorithm 2 re-embeds its rungs through ``embed_normalized``;
 * the batched block-diagonal path (``embed_batch`` / ``logits_batch``
   / ``predict_batch``) over :class:`repro.gnn.batch.GraphBatch`, which
   runs a whole mini-batch in one sparse forward pass.  Both paths are

@@ -14,9 +14,9 @@ in order and the exit code is non-zero if any of them fails:
 3. ``repro.staticcheck.verify_corpus`` in strict mode over a freshly
    generated corpus — the same CFG/ACFG invariant gate the evaluation
    pipeline runs.
-4. A batching smoke test: the block-diagonal batched engine must match
-   the per-graph dense path to 1e-8 (logits and embeddings) on a tiny
-   corpus — the core equivalence the batched pipeline rests on.
+4. A batching smoke test: on a tiny corpus the block-diagonal batched
+   engine must match the per-graph dense path to 1e-8 (logits and
+   embeddings), and Algorithm 2 its dense oracle exactly.
 5. With ``--profile``, an observability smoke test: a tiny traced
    pipeline run must emit a well-formed ``RUN_MANIFEST.json`` whose
    span tree covers every stage with nonzero timings.
@@ -104,25 +104,34 @@ def _run_corpus_verification(samples: int, seed: int) -> bool:
     return True
 
 
-def _run_batching_smoke(samples: int, seed: int, tolerance: float = 1e-8) -> bool:
+def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 1e-8) -> bool:
     """Batched and edge-list engines against dense references.
 
     Checks the mini-batch forward against ``forward_acfg``,
     ``subgraph_proba_batch`` against a dense forward of each subgraph,
-    ``weighted_edge_proba`` at a unit mask against ``forward_acfg``, and
+    ``weighted_edge_proba`` at a unit mask against ``forward_acfg``,
     CFExplainer's renormalized edge Â at all-keep against
-    ``normalized_adjacency``.
+    ``normalized_adjacency``, and Algorithm 2's rung Â and node order
+    exactly against ``tests/test_algorithm2_oracle.py``.
     """
     import numpy as np
 
     from repro.acfg import ACFGDataset
+    from repro.core import CFGExplainerModel, interpret
+    from repro.core.interpret import rung_a_hat
     from repro.explain.counterfactual import RenormalizedEdges
     from repro.gnn import GCNClassifier, GraphBatch, normalized_adjacency
+    from repro.gnn.normalize import normalized_adjacency_csr, self_looped_edges
     from repro.malgen import generate_corpus
     from repro.nn import Tensor, no_grad
 
+    path = root / "tests" / "test_algorithm2_oracle.py"
+    oracle = importlib.util.module_from_spec(importlib.util.spec_from_file_location("oracle", path))
+    oracle.__spec__.loader.exec_module(oracle)
     dataset = ACFGDataset.from_corpus(generate_corpus(samples, seed=seed))
     model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(seed))
+    theta = CFGExplainerModel(8, dataset.num_classes, rng=np.random.default_rng(seed))
+    mismatches = 0
     batch = GraphBatch.from_graphs(list(dataset))
     rng = np.random.default_rng(seed)
     with no_grad():
@@ -164,13 +173,20 @@ def _run_batching_smoke(samples: int, seed: int, tolerance: float = 1e-8) -> boo
         off_support = np.ones_like(dense, dtype=bool)
         off_support[edges.rows, edges.cols] = False
         worst_edges = max(worst_edges, float(np.max(np.abs(dense[off_support]), initial=0.0)))
-    ok = max(worst, worst_subgraph, worst_edges) <= tolerance
+        keep = rng.random(n_real) < 0.5
+        rung = normalized_adjacency_csr(graph.subgraph_adjacency(np.flatnonzero(keep)), active)
+        rung_edges = rung_a_hat(self_looped_edges(graph.adjacency, n_real), keep)
+        mismatches += not np.array_equal(rung_edges, rung.toarray()[:n_real, :n_real])
+        expected = oracle.dense_interpret(theta, model, graph)[0]["node_order"]
+        mismatches += not np.array_equal(interpret(theta, model, graph).node_order, expected)
+    ok = max(worst, worst_subgraph, worst_edges) <= tolerance and not mismatches
     status = "ok" if ok else "FAILED"
     print(
         f"[check] batching smoke: {len(dataset)} graphs, "
         f"max |batched - per-graph| = {worst:.3e}, "
         f"max |batched - dense| over {4 * len(dataset)} subgraphs = "
-        f"{worst_subgraph:.3e}, max |edge list - dense| = {worst_edges:.3e} "
+        f"{worst_subgraph:.3e}, max |edge list - dense| = {worst_edges:.3e}, "
+        f"Algorithm 2 mismatches = {mismatches} "
         f"({status})"
     )
     return ok
@@ -608,7 +624,7 @@ def main(argv: list[str] | None = None) -> int:
     results["corpus verification"] = _run_corpus_verification(
         samples=3, seed=0
     )
-    results["batching smoke"] = _run_batching_smoke(samples=2, seed=0)
+    results["batching smoke"] = _run_batching_smoke(root, samples=2, seed=0)
     if args.profile:
         results["profile smoke"] = _run_profile_smoke()
     if args.resume:

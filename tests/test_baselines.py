@@ -99,6 +99,27 @@ class TestPGExplainer:
         order2, _ = explainer.rank_nodes(graph)
         np.testing.assert_array_equal(order1, order2)
 
+    def test_cold_graphs_leave_embedding_cache_size(self, fitted, small_dataset):
+        """Explaining graphs the cache lacks computes them without storing."""
+        from repro.gnn import EmbeddingCache
+
+        explainer, _ = fitted
+        train_set, test_set = small_dataset
+        cold = EmbeddingCache(explainer.model)
+        cold.populate(train_set)
+        warm = EmbeddingCache(explainer.model)
+        warm.populate(test_set)
+        size = len(cold)
+        for graph in test_set.graphs[:4]:
+            explainer.embedding_cache = cold
+            from_cold = explainer.rank_nodes(graph)
+            explainer.embedding_cache = warm
+            from_warm = explainer.rank_nodes(graph)
+            for cold_part, warm_part in zip(from_cold, from_warm):
+                np.testing.assert_array_equal(cold_part, warm_part)
+        explainer.embedding_cache = None
+        assert len(cold) == size
+
 
 class TestGradient:
     """Vanilla saliency: one forward+backward, the serving fallback rung."""

@@ -12,6 +12,7 @@ from repro.core import (
 from repro.core.model import NodeScorer, SurrogateClassifier
 from repro.explain.explanation import kept_count
 from repro.nn import Tensor
+from tests.test_algorithm2_oracle import dense_interpret
 
 
 class TestThetaModel:
@@ -134,21 +135,32 @@ class TestAlgorithm2:
             assert len(kept) == expected
             previous = kept
 
-    def test_snapshot_matches_kept_nodes(self, explained):
-        """Each rung's adjacency must have edges only among kept nodes."""
-        _, explanation = explained
-        for level in explanation.levels:
-            adjacency = level.adjacency
+    def test_snapshot_matches_kept_nodes(
+        self, explained, trained_gnn, trained_theta
+    ):
+        """The dense body's snapshot k is rung k's ``subgraph_adjacency``."""
+        graph, explanation = explained
+        _, snapshots = dense_interpret(trained_theta, trained_gnn, graph)
+        assert len(snapshots) == len(explanation.levels)
+        for level, snapshot in zip(explanation.levels, snapshots):
+            adjacency = graph.subgraph_adjacency(level.kept_nodes)
+            np.testing.assert_array_equal(adjacency, snapshot)
             rows_with_edges = set(np.nonzero(adjacency.sum(axis=1))[0].tolist())
             cols_with_edges = set(np.nonzero(adjacency.sum(axis=0))[0].tolist())
             kept = set(level.kept_nodes.tolist())
             assert rows_with_edges <= kept
             assert cols_with_edges <= kept
 
-    def test_full_graph_rung_is_original(self, explained):
+    def test_full_graph_rung_is_original(
+        self, explained, trained_gnn, trained_theta
+    ):
         graph, explanation = explained
+        _, snapshots = dense_interpret(trained_theta, trained_gnn, graph)
+        full = explanation.levels[-1]
+        assert sorted(full.kept_nodes.tolist()) == list(range(graph.n_real))
+        np.testing.assert_array_equal(snapshots[-1], graph.adjacency)
         np.testing.assert_array_equal(
-            explanation.levels[-1].adjacency, graph.adjacency
+            graph.subgraph_adjacency(full.kept_nodes), graph.adjacency
         )
 
     def test_scores_recorded_for_real_nodes(self, explained):

@@ -192,7 +192,6 @@ def _explanation_with_fractions(graph, fractions):
         SubgraphLevel(
             fraction=f,
             kept_nodes=order[: kept_count(f, graph.n_real)],
-            adjacency=graph.adjacency.copy(),
         )
         for f in fractions
     ]
