@@ -24,13 +24,13 @@ from repro.nn import Tensor
 
 VARIANTS = {
     "literal Alg.1": dict(
-        sparsity_weight=0.0, entropy_weight=0.0, faithfulness_weight=0.0
+        sparsity_weight=0.0, faithfulness_weight=0.0
     ),
     "+ sparsity": dict(
-        sparsity_weight=0.3, entropy_weight=0.0, faithfulness_weight=0.0
+        sparsity_weight=0.3, faithfulness_weight=0.0
     ),
     "+ faithfulness": dict(
-        sparsity_weight=0.3, entropy_weight=0.0, faithfulness_weight=1.0
+        sparsity_weight=0.3, faithfulness_weight=1.0
     ),
 }
 

@@ -8,7 +8,6 @@ a ladder of explanation subgraphs (Algorithm 2).
 
 from repro.core.interpret import CFGExplainer, interpret
 from repro.core.model import (
-    CFGExplainerEnsemble,
     CFGExplainerModel,
     NodeScorer,
     SurrogateClassifier,
@@ -19,7 +18,6 @@ __all__ = [
     "NodeScorer",
     "SurrogateClassifier",
     "CFGExplainerModel",
-    "CFGExplainerEnsemble",
     "train_cfgexplainer",
     "ExplainerTrainingHistory",
     "CFGExplainer",

@@ -19,48 +19,31 @@ __all__ = ["NodeScorer", "SurrogateClassifier", "CFGExplainerModel"]
 
 
 class NodeScorer(Module):
-    """Θ_s: per-node importance scores Ψ ∈ [0, 1]^N from embeddings Z.
-
-    With ``graph_context=True`` each node is scored from
-    ``[z_j ; maxpool(Z)]`` rather than ``z_j`` alone — an ablation knob
-    for giving the scorer a view of what the rest of the graph offers.
-    Measured on the default corpus it *hurts* (the context feature
-    dominates and washes out per-node signal), so the default is the
-    paper's purely per-node input.
-    """
+    """Θ_s: per-node importance scores Ψ ∈ [0, 1]^N from embeddings Z."""
 
     def __init__(
         self,
         embedding_size: int,
         hidden: tuple[int, ...] = (64, 32),
-        graph_context: bool = False,
         rng: np.random.Generator | None = None,
     ):
         rng = rng if rng is not None else np.random.default_rng()  # lint: ok (seeded rng is the reproducible path)
-        in_features = embedding_size * (2 if graph_context else 1)
-        widths = (in_features, *hidden)
+        widths = (embedding_size, *hidden)
         self.layers = [
             Dense(w_in, w_out, activation="relu", rng=rng)
             for w_in, w_out in zip(widths[:-1], widths[1:])
         ]
         self.output = Dense(widths[-1], 1, activation="sigmoid", rng=rng)
         self.embedding_size = embedding_size
-        self.graph_context = graph_context
 
-    def _inputs(self, z: Tensor) -> Tensor:
-        if not self.graph_context:
-            return z
-        n = int(z.shape[0])
-        context = z.max(axis=0, keepdims=True)  # [1, f]
-        tiled = Tensor(np.ones((n, 1))) @ context  # broadcast rows
-        return Tensor.concatenate([z, tiled], axis=1)
+    def _hidden(self, z: Tensor) -> Tensor:
+        for layer in self.layers:
+            z = layer(z)
+        return z
 
     def __call__(self, z: Tensor) -> Tensor:
         """Scores of shape [N, 1] for embeddings of shape [N, f]."""
-        h = self._inputs(z)
-        for layer in self.layers:
-            h = layer(h)
-        return self.output(h)
+        return self.output(self._hidden(z))
 
     def score_logits(self, z: Tensor) -> Tensor:
         """Pre-sigmoid scores, shape [N, 1].
@@ -68,20 +51,17 @@ class NodeScorer(Module):
         Used by the concrete-relaxation faithfulness probe in training,
         which needs to add logistic noise *before* the squashing.
         """
-        h = self._inputs(z)
-        for layer in self.layers:
-            h = layer(h)
-        return h @ self.output.weight + self.output.bias
+        return self._hidden(z) @ self.output.weight + self.output.bias
 
 
 class SurrogateClassifier(Module):
     """Θ_c: classify weighted node embeddings into family probabilities.
 
-    Per-node MLP (64→32→16 by default) followed by masked pooling and a
-    final softmax layer, per Section V-A's architecture.  Pooling is
-    per-dimension max by default, matching the pooling of the GNN being
-    explained so the surrogate's notion of "which nodes carry the
-    evidence" lines up with Φ's (``lse`` offers a smooth alternative).
+    Per-node MLP (64→32→16 by default) followed by masked per-dimension
+    max pooling and a final softmax layer, per Section V-A's
+    architecture.  Max pooling matches the pooling of the GNN being
+    explained, so the surrogate's notion of "which nodes carry the
+    evidence" lines up with Φ's.
     """
 
     def __init__(
@@ -89,11 +69,8 @@ class SurrogateClassifier(Module):
         embedding_size: int,
         num_classes: int,
         hidden: tuple[int, ...] = (64, 32, 16),
-        pooling: str = "max",
         rng: np.random.Generator | None = None,
     ):
-        if pooling not in {"lse", "max", "sum", "mean"}:
-            raise ValueError(f"unknown pooling {pooling!r}")
         rng = rng if rng is not None else np.random.default_rng()  # lint: ok (seeded rng is the reproducible path)
         widths = (embedding_size, *hidden)
         self.layers = [
@@ -101,9 +78,6 @@ class SurrogateClassifier(Module):
             for w_in, w_out in zip(widths[:-1], widths[1:])
         ]
         self.output = Dense(widths[-1], num_classes, activation="linear", rng=rng)
-        if pooling == "sum":
-            self.output.weight.data *= 0.1
-        self.pooling = pooling
         self.embedding_size = embedding_size
         self.num_classes = num_classes
 
@@ -119,24 +93,7 @@ class SurrogateClassifier(Module):
         h = z_weighted
         for layer in self.layers:
             h = layer(h)
-        h = h * mask
-        if self.pooling == "lse":
-            # Masked log-sum-exp: only active rows contribute (a plain
-            # LSE would let every padded row add exp(0) = 1).
-            beta = 4.0
-            scaled = h * beta
-            shift = float(scaled.numpy().max()) if scaled.size else 0.0
-            exp_terms = (scaled - shift).exp() * mask
-            pooled = (
-                exp_terms.sum(axis=0, keepdims=True).log(eps=1e-300) + shift
-            ) * (1.0 / beta)
-        elif self.pooling == "max":
-            pooled = h.max(axis=0, keepdims=True)
-        elif self.pooling == "sum":
-            pooled = h.sum(axis=0, keepdims=True)
-        else:  # mean
-            count = max(float(np.asarray(active_mask).sum()), 1.0)
-            pooled = h.sum(axis=0, keepdims=True) * (1.0 / count)
+        pooled = (h * mask).max(axis=0, keepdims=True)
         return self.output(pooled).softmax(axis=-1).reshape(-1)
 
 
@@ -183,32 +140,3 @@ class CFGExplainerModel(Module):
             psi = self.scorer(z)
         return psi.numpy().reshape(-1)[:n_real].copy()
 
-
-class CFGExplainerEnsemble:
-    """Average the scores of several independently trained Θ models.
-
-    Algorithm 2 only consumes ``node_scores``; averaging over seeds
-    reduces the variance a single jointly-trained scorer shows on small
-    training sets.  Train each member with a different seed and pass
-    the ensemble anywhere a :class:`CFGExplainerModel` is accepted for
-    interpretation (training still happens per member).
-    """
-
-    def __init__(self, members: list[CFGExplainerModel]):
-        if not members:
-            raise ValueError("ensemble needs at least one member")
-        sizes = {m.embedding_size for m in members}
-        if len(sizes) != 1:
-            raise ValueError(f"members disagree on embedding size: {sizes}")
-        self.members = list(members)
-        self.embedding_size = members[0].embedding_size
-        self.num_classes = members[0].num_classes
-
-    def node_scores(self, z: Tensor, n_real: int) -> np.ndarray:
-        stacked = np.stack(
-            [member.node_scores(z, n_real) for member in self.members]
-        )
-        return stacked.mean(axis=0)
-
-    def parameters(self):
-        return [p for member in self.members for p in member.parameters()]

@@ -16,13 +16,12 @@ computed during classifier evaluation is never recomputed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.acfg.dataset import ACFGDataset
 from repro.core.model import CFGExplainerModel
-from repro.gnn.batch import iter_batches
 from repro.gnn.cache import EmbeddingCache
 from repro.gnn.model import GCNClassifier
 from repro.nn import Adam, Tensor, nll_loss_from_probs, no_grad
@@ -30,6 +29,10 @@ from repro.obs import add_counter
 from repro.obs import span as obs_span
 
 __all__ = ["ExplainerTrainingHistory", "train_cfgexplainer", "precompute_embeddings"]
+
+#: Temperature of the faithfulness probe's concrete relaxation, annealed
+#: geometrically from the first value to the second over training.
+_TAU_START, _TAU_END = 2.0, 0.2
 
 
 @dataclass
@@ -46,132 +49,42 @@ class ExplainerTrainingHistory:
 
 @dataclass(frozen=True)
 class _EmbeddedSample:
-    """Cached per-graph quantities for one training ACFG.
-
-    ``a_hat`` and ``features`` feed the graph-level faithfulness probe,
-    which re-runs Φ_e on masked inputs; they are ``None`` for augmented
-    variants (the probe only runs on original graphs).
-    """
+    """Cached per-graph quantities for one training ACFG."""
 
     embeddings: np.ndarray
     gnn_class: int
     active_mask: np.ndarray
-    a_hat: np.ndarray | None = None
-    features: np.ndarray | None = None
-
-
-def _normalized_a_hat(
-    model: GCNClassifier, adjacency: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Â via the model's keyed cache, or directly for models without one."""
-    cache = getattr(model, "a_hat_cache", None)
-    if cache is not None:
-        return cache.get(adjacency, mask)
-    from repro.gnn.normalize import normalized_adjacency
-
-    return normalized_adjacency(adjacency, mask)
 
 
 def precompute_embeddings(
     model: GCNClassifier,
     dataset: ACFGDataset,
-    augment_prune_fractions: tuple[float, ...] = (),
-    seed: int = 0,
-    cache_graph_inputs: bool = False,
     embedding_cache: EmbeddingCache | None = None,
     batch_size: int = 32,
 ) -> list[_EmbeddedSample]:
     """Run the frozen Φ over every graph once (lines 6-7 of Algorithm 1).
 
-    Base graphs are embedded in batched block-diagonal passes; when the
+    Graphs are embedded in batched block-diagonal passes; when the
     pipeline passes its shared ``embedding_cache``, graphs already
     embedded during classifier evaluation are served from the cache
     instead of recomputed.
-
-    ``augment_prune_fractions`` adds, per graph and per fraction p, one
-    extra training sample whose adjacency has a random p-share of real
-    nodes pruned Algorithm-2 style (rows/columns zeroed, features kept)
-    before embedding.  The interpretation stage probes Θ_s on exactly
-    such partially pruned graphs, so training on them keeps the scorer
-    in distribution; the class target stays the *full* graph's
-    prediction, because that is what the explanation must preserve.
     """
-    rng = np.random.default_rng(seed)
     cache = embedding_cache if embedding_cache is not None else EmbeddingCache(model)
     cache.populate(dataset, batch_size=batch_size)
 
-    per_graph: list[list[_EmbeddedSample]] = []
-    variants: list[int] = []  # graph index of each pending pruned variant
-    variant_graphs = []
-    for graph_index, graph in enumerate(dataset):
+    samples = []
+    for graph in dataset:
         mask = np.zeros(graph.n, dtype=bool)
         mask[: graph.n_real] = True
         entry = cache.forward(graph)
-        per_graph.append(
-            [
-                _EmbeddedSample(
-                    embeddings=entry.z,
-                    gnn_class=entry.predicted_class,
-                    active_mask=mask,
-                    a_hat=(
-                        _normalized_a_hat(model, graph.adjacency, mask)
-                        if cache_graph_inputs
-                        else None
-                    ),
-                    features=(
-                        np.asarray(graph.features, dtype=np.float64)
-                        if cache_graph_inputs
-                        else None
-                    ),
-                )
-            ]
-        )
-        for fraction in augment_prune_fractions:
-            prune_count = int(round(fraction * graph.n_real))
-            if not 0 < prune_count < graph.n_real:
-                continue
-            pruned = rng.choice(graph.n_real, size=prune_count, replace=False)
-            adjacency = graph.adjacency.copy()
-            adjacency[pruned, :] = 0.0
-            adjacency[:, pruned] = 0.0
-            variant_graphs.append(replace(graph, adjacency=adjacency))
-            variants.append(graph_index)
-
-    # Embed the pruned variants in batched passes too, then slot each
-    # one in right after its base graph (the order downstream tests and
-    # mini-batch sampling see).  Their one-off adjacencies bypass the
-    # Â cache so they cannot evict hot entries.
-    if variant_graphs and not hasattr(model, "embed_batch"):
-        for graph_index, variant in zip(variants, variant_graphs):
-            samples = per_graph[graph_index]
-            with no_grad():
-                z = model.embed(
-                    variant.adjacency, variant.features, samples[0].active_mask
-                )
-            samples.append(
-                _EmbeddedSample(
-                    embeddings=z.numpy().copy(),
-                    gnn_class=samples[0].gnn_class,
-                    active_mask=samples[0].active_mask,
-                )
+        samples.append(
+            _EmbeddedSample(
+                embeddings=entry.z,
+                gnn_class=entry.predicted_class,
+                active_mask=mask,
             )
-    elif variant_graphs:
-        offset = 0
-        for batch in iter_batches(variant_graphs, batch_size):
-            with no_grad():
-                z = model.embed_batch(batch)
-            z_data = z.numpy()
-            for i in range(batch.num_graphs):
-                samples = per_graph[variants[offset + i]]
-                samples.append(
-                    _EmbeddedSample(
-                        embeddings=z_data[batch.rows_of(i)].copy(),
-                        gnn_class=samples[0].gnn_class,
-                        active_mask=samples[0].active_mask,
-                    )
-                )
-            offset += batch.num_graphs
-    return [sample for samples in per_graph for sample in samples]
+        )
+    return samples
 
 
 def train_cfgexplainer(
@@ -182,13 +95,7 @@ def train_cfgexplainer(
     minibatch_size: int = 16,
     lr: float = 0.001,
     sparsity_weight: float = 0.3,
-    entropy_weight: float = 0.0,
     faithfulness_weight: float = 1.0,
-    faithfulness_samples: int = 1,
-    faithfulness_probe: str = "embedding",
-    concrete_temperature: tuple[float, float] = (2.0, 0.2),
-    sparsity_target: float | None = None,
-    augment_prune_fractions: tuple[float, ...] = (),
     seed: int = 0,
     embedding_cache: EmbeddingCache | None = None,
     verbose: bool = False,
@@ -200,14 +107,14 @@ def train_cfgexplainer(
     Adam adjusting Θ's weights from the batch NLL loss.
 
     Two documented additions to the paper's bare NLL objective make the
-    learned scores well-posed (set all three weights to 0 for the
-    literal Algorithm 1):
+    learned scores well-posed (set both weights to 0 for the literal
+    Algorithm 1):
 
-    * ``sparsity_weight`` (and optional ``entropy_weight``): the bare
-      objective has a degenerate optimum where Θ_s outputs Ψ ≈ 1 for
-      every node — the surrogate then classifies unweighted embeddings
-      and the ordering carries no signal.  A mean-score penalty forces
-      Θ_s to spend its score budget only where classification needs it.
+    * ``sparsity_weight``: the bare objective has a degenerate optimum
+      where Θ_s outputs Ψ ≈ 1 for every node — the surrogate then
+      classifies unweighted embeddings and the ordering carries no
+      signal.  A mean-score penalty forces Θ_s to spend its score
+      budget only where classification needs it.
     * ``faithfulness_weight``: an auxiliary NLL of the *frozen* GNN
       classification head Φ_c on the same weighted embeddings
       ``Ψ ⊙ Z``.  Θ_c is a different network from Φ_c, so scores that
@@ -218,8 +125,6 @@ def train_cfgexplainer(
     """
     if num_epochs <= 0 or minibatch_size <= 0:
         raise ValueError("num_epochs and minibatch_size must be positive")
-    if faithfulness_probe not in {"embedding", "graph"}:
-        raise ValueError(f"unknown faithfulness_probe {faithfulness_probe!r}")
     if explainer.embedding_size != gnn.embedding_size:
         raise ValueError(
             f"explainer expects embeddings of size {explainer.embedding_size}, "
@@ -229,12 +134,7 @@ def train_cfgexplainer(
     rng = np.random.default_rng(seed)
     with obs_span("train.explainer.embed"):
         cached = precompute_embeddings(
-            gnn,
-            train_set,
-            augment_prune_fractions,
-            seed=seed,
-            cache_graph_inputs=faithfulness_probe == "graph",
-            embedding_cache=embedding_cache,
+            gnn, train_set, embedding_cache=embedding_cache
         )
     add_counter("explainer.train.epochs", num_epochs)
     add_counter("explainer.train.samples", len(cached))
@@ -254,70 +154,32 @@ def train_cfgexplainer(
             if faithfulness_weight:
                 # Faithfulness probe: sample an approximately discrete
                 # keep-mask from the score logits (concrete relaxation:
-                # logistic noise + annealed temperature) and require
-                # the frozen Φ to still predict its class.
-                #
-                # ``probe="embedding"`` (default) masks the node
-                # embeddings before Φ_c — under the max-pooled head
-                # this directly suppresses a node's participation in
-                # the pooled evidence, which measured best.
-                # ``probe="graph"`` masks the propagation matrix
-                # (m·mᵀ) and features (m) and re-runs Φ_e end to end —
-                # closest to Algorithm 2's literal pruning, but the
-                # quadratic edge dampening biases scores toward degree
-                # (kept as an ablation).
-                t_start, t_end = concrete_temperature
-                tau = t_start * (t_end / t_start) ** (
+                # logistic noise + annealed temperature), mask the node
+                # embeddings with it and require the frozen Φ_c to
+                # still predict its class.  Under the max-pooled head
+                # masking an embedding directly suppresses that node's
+                # participation in the pooled evidence.
+                tau = _TAU_START * (_TAU_END / _TAU_START) ** (
                     epoch / max(num_epochs - 1, 1)
                 )
                 score_logits = explainer.scorer.score_logits(z)
-                weight = faithfulness_weight / faithfulness_samples
-                for _ in range(faithfulness_samples):
-                    uniform = rng.uniform(
-                        1e-6, 1 - 1e-6, size=score_logits.shape
-                    )
-                    noise = np.log(uniform) - np.log(1.0 - uniform)
-                    keep = (
-                        (score_logits + Tensor(noise)) * (1.0 / tau)
-                    ).sigmoid()  # [N, 1]
-                    if faithfulness_probe == "graph" and sample.a_hat is not None:
-                        pair_mask = keep @ keep.T  # [N, N]
-                        masked_a_hat = Tensor(sample.a_hat) * pair_mask
-                        masked_features = Tensor(sample.features) * keep
-                        z_probe = gnn.embed_normalized(
-                            masked_a_hat, masked_features, sample.active_mask
-                        )
-                    else:
-                        z_probe = z * keep
-                    phi_probs = gnn.classify(z_probe)
-                    sample_loss = sample_loss + weight * (
-                        nll_loss_from_probs(phi_probs, sample.gnn_class)
-                    )
-            if sparsity_weight or entropy_weight:
+                uniform = rng.uniform(1e-6, 1 - 1e-6, size=score_logits.shape)
+                noise = np.log(uniform) - np.log(1.0 - uniform)
+                keep = (
+                    (score_logits + Tensor(noise)) * (1.0 / tau)
+                ).sigmoid()  # [N, 1]
+                phi_probs = gnn.classify(z * keep)
+                sample_loss = sample_loss + faithfulness_weight * (
+                    nll_loss_from_probs(phi_probs, sample.gnn_class)
+                )
+            if sparsity_weight:
+                # Plain shrinkage of the mean real-node score toward 0.
                 real = Tensor(
                     sample.active_mask.astype(np.float64).reshape(-1, 1)
                 )
                 count = max(float(sample.active_mask.sum()), 1.0)
-                if sparsity_weight:
-                    mean_score = (psi * real).sum() * (1.0 / count)
-                    if sparsity_target is None:
-                        # Plain shrinkage toward zero.
-                        sample_loss = sample_loss + mean_score * sparsity_weight
-                    else:
-                        # Budget form: aim the mean score at the
-                        # evaluation operating point (e.g. 0.2 for
-                        # top-20% subgraphs) instead of collapsing it.
-                        sample_loss = sample_loss + (
-                            (mean_score - sparsity_target) ** 2
-                        ) * sparsity_weight
-                if entropy_weight:
-                    entropy = -(
-                        psi * psi.log(eps=1e-12)
-                        + (1.0 - psi) * (1.0 - psi).log(eps=1e-12)
-                    )
-                    sample_loss = sample_loss + (entropy * real).sum() * (
-                        entropy_weight / count
-                    )
+                mean_score = (psi * real).sum() * (1.0 / count)
+                sample_loss = sample_loss + mean_score * sparsity_weight
             loss = sample_loss if loss is None else loss + sample_loss
         loss = loss * (1.0 / m)
         loss.backward()

@@ -41,15 +41,12 @@ class Table3Row:
     cells: dict[str, tuple[float, float, float]]  # explainer -> (a10, a20, auc)
 
 
-def build_table3(
-    sweeps: dict[str, dict[str, FamilySweep]],
-    explainer_order: tuple[str, ...] = EXPLAINER_ORDER,
-) -> list[Table3Row]:
+def build_table3(sweeps: dict[str, dict[str, FamilySweep]]) -> list[Table3Row]:
     """Summarize Figure 2 sweeps into Table III rows plus an Average row."""
     rows = []
     for family, by_explainer in sweeps.items():
         cells = {}
-        for name in explainer_order:
+        for name in EXPLAINER_ORDER:
             if name not in by_explainer:
                 continue
             sweep = by_explainer[name]
@@ -62,7 +59,7 @@ def build_table3(
 
     if rows:
         averages = {}
-        for name in explainer_order:
+        for name in EXPLAINER_ORDER:
             values = [row.cells[name] for row in rows if name in row.cells]
             if values:
                 stacked = np.array(values)
@@ -106,12 +103,11 @@ def build_counterfactual_table(
     model: GCNClassifier,
     sweeps: dict[str, dict[str, FamilySweep]],
     fraction: float = 0.2,
-    explainer_order: tuple[str, ...] = EXPLAINER_ORDER,
 ) -> list[CounterfactualRow]:
     """Sufficiency / necessity / edit-size per explainer, pooled over
     every family's explanations (the CFF-style dual of Table III)."""
     rows = []
-    for name in explainer_order:
+    for name in EXPLAINER_ORDER:
         explanations = [
             explanation
             for family in sweeps

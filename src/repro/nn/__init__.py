@@ -6,15 +6,7 @@ functions used by the GNN classifier and CFGExplainer — implemented
 without any deep-learning framework.
 """
 
-from repro.nn.backend import (
-    KernelWorkspace,
-    LoopBackend,
-    ScipyBackend,
-    SparseBackend,
-    get_backend,
-    set_backend,
-    use_backend,
-)
+from repro.nn.backend import KernelWorkspace
 from repro.nn.dtype import (
     COMPUTE_DTYPES,
     compute_dtype,
@@ -53,15 +45,9 @@ from repro.nn.tensor import Tensor, no_grad
 __all__ = [
     "COMPUTE_DTYPES",
     "KernelWorkspace",
-    "LoopBackend",
-    "ScipyBackend",
-    "SparseBackend",
     "compute_dtype",
-    "get_backend",
     "get_compute_dtype",
-    "set_backend",
     "set_compute_dtype",
-    "use_backend",
     "NumericalError",
     "assert_finite",
     "assert_finite_array",

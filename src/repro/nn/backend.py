@@ -1,24 +1,19 @@
-"""Pluggable kernel backend behind the sparse/segment autograd ops.
+"""Raw kernels behind the sparse/segment autograd ops.
 
-The profile of batched training (DESIGN.md §Kernel backend) is a short
+The profile of batched training (DESIGN.md §Sparse kernels) is a short
 list of hot kernels: the block-diagonal sparse matmul (forward and its
 transposed backward), the segment reductions that implement per-graph
-pooling, and buffer churn around them.  This module is the seam that
-lets those kernels be swapped without touching autograd, model,
-explainer or serving code:
+pooling, and buffer churn around them.  This module holds them as plain
+ndarray-in/ndarray-out functions on scipy CSR matrices and numpy
+arrays, never :class:`Tensor`; the autograd wrappers in
+:mod:`repro.nn.sparse` stay the only place tape closures are built.
 
-* :class:`SparseBackend` — the protocol: raw ndarray-in/ndarray-out
-  kernels with optional preallocated ``out`` buffers.  Implementations
-  see scipy CSR matrices and numpy arrays, never :class:`Tensor`; the
-  autograd wrappers in :mod:`repro.nn.sparse` stay the only place tape
-  closures are built.
-* :class:`ScipyBackend` — the default: scipy's compiled CSR kernels,
-  driven through ``csr_matvecs`` directly when an output buffer is
-  supplied so repeated epochs reuse memory instead of reallocating.
-* :class:`LoopBackend` — a deliberately simple row-loop reference
-  implementation.  It exists for conformance testing (every backend
-  must agree with it) and as the template for dropping in a vectorized
-  or compiled kernel.
+* :func:`spmm` — scipy's compiled CSR kernel, driven through
+  ``csr_matvecs`` directly when an output buffer is supplied so
+  repeated epochs reuse memory instead of reallocating.
+* :func:`segment_sum` / :func:`segment_max` — per-segment row
+  reductions: compiled ``reduceat`` over sorted segment ids, scatter
+  ``ufunc.at`` otherwise.
 * :class:`KernelWorkspace` — named preallocated buffers keyed by
   ``(slot, shape, dtype)``.  Slot names are unique per call site (one
   per layer per direction), so no reset protocol is needed: a buffer
@@ -26,15 +21,9 @@ explainer or serving code:
   after every tensor referencing it is dead.  Parameter gradients are
   never stored in workspace buffers (see ``tests/test_kernel_backend``
   for the aliasing regression tests).
-
-Select a backend process-wide with :func:`set_backend` or temporarily
-with :func:`use_backend`.
 """
 
 from __future__ import annotations
-
-import contextlib
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 from scipy import sparse as _sp
@@ -46,55 +35,7 @@ try:  # scipy's compiled CSR kernels (private but stable since 0.x)
 except (ImportError, AttributeError):  # pragma: no cover - old scipy
     _csr_matvecs = None
 
-__all__ = [
-    "KernelWorkspace",
-    "LoopBackend",
-    "ScipyBackend",
-    "SparseBackend",
-    "get_backend",
-    "set_backend",
-    "use_backend",
-]
-
-
-@runtime_checkable
-class SparseBackend(Protocol):
-    """Raw kernels the sparse autograd ops are built from.
-
-    ``out``, where accepted, must be a C-contiguous array of the
-    result's exact shape and dtype; the kernel overwrites it fully and
-    returns it.  With ``out=None`` a fresh array is allocated — the
-    semantics are identical either way.
-    """
-
-    name: str
-
-    def spmm(
-        self, a: "_sp.csr_matrix", x: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``a @ x`` for CSR ``a`` and dense 2-D ``x``."""
-        ...
-
-    def segment_sum(
-        self,
-        x: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-        starts: np.ndarray | None,
-    ) -> np.ndarray:
-        """Scatter-add rows into segments; ``starts`` is the row offset
-        per segment when ``segment_ids`` is sorted (else ``None``)."""
-        ...
-
-    def segment_max(
-        self,
-        x: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-        starts: np.ndarray | None,
-    ) -> np.ndarray:
-        """Per-segment row-wise maximum (segments must be non-empty)."""
-        ...
+__all__ = ["KernelWorkspace", "segment_max", "segment_sum", "spmm"]
 
 
 def _can_use_csr_matvecs(a, x: np.ndarray, out: np.ndarray) -> bool:
@@ -106,109 +47,64 @@ def _can_use_csr_matvecs(a, x: np.ndarray, out: np.ndarray) -> bool:
     )
 
 
-class ScipyBackend:
-    """Default backend: scipy's compiled CSR kernels.
+def spmm(
+    a: "_sp.csr_matrix", x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``a @ x`` for CSR ``a`` and dense 2-D ``x``.
 
-    ``spmm`` drives ``csr_matvecs`` (the kernel under scipy's ``A @ x``)
-    directly when an output buffer is supplied: the kernel accumulates
-    into a zeroed buffer, so reusing one turns a per-call allocation
-    into a memset.  Any shape/dtype mismatch falls back to ``A @ x``.
+    ``out``, when given, must be an array of the result's exact shape;
+    it is fully overwritten and returned.  With a matching dtype and a
+    C-contiguous ``out`` the kernel is ``csr_matvecs`` (the kernel under
+    scipy's ``a @ x``) accumulating into the zeroed buffer, so reusing
+    one turns a per-call allocation into a memset.  Any other
+    shape/dtype combination falls back to ``a @ x``.
     """
-
-    name = "scipy"
-
-    def spmm(self, a, x, out=None):
-        if out is not None and _can_use_csr_matvecs(a, x, out):
-            out[...] = 0.0
-            n_rows, n_cols = a.shape
-            _csr_matvecs(
-                n_rows, n_cols, x.shape[1],
-                a.indptr, a.indices, a.data,
-                np.ascontiguousarray(x).ravel(), out.ravel(),
-            )
-            return out
-        result = a @ x
-        if out is not None:
-            out[...] = result
-            return out
-        return result
-
-    def segment_sum(self, x, segment_ids, num_segments, starts):
-        if starts is not None:
-            # Sorted segment ids (the GraphBatch layout): compiled
-            # reduceat — same left-to-right accumulation order as the
-            # scatter-add below, so the results are bit-identical.
-            return np.add.reduceat(x, starts, axis=0)
-        out = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
-        np.add.at(out, segment_ids, x)
-        return out
-
-    def segment_max(self, x, segment_ids, num_segments, starts):
-        if starts is not None:
-            return np.maximum.reduceat(x, starts, axis=0)
-        out = np.full((num_segments,) + x.shape[1:], -np.inf, dtype=x.dtype)
-        np.maximum.at(out, segment_ids, x)
-        return out
-
-
-class LoopBackend:
-    """Row-loop reference backend (conformance tests + drop-in template)."""
-
-    name = "loop"
-
-    def spmm(self, a, x, out=None):
-        if out is None:
-            out = np.zeros((a.shape[0],) + x.shape[1:], dtype=np.result_type(a, x))
-        else:
-            out[...] = 0.0
-        indptr, indices, data = a.indptr, a.indices, a.data
-        for row in range(a.shape[0]):
-            start, stop = indptr[row], indptr[row + 1]
-            if start != stop:
-                out[row] = data[start:stop] @ x[indices[start:stop]]
-        return out
-
-    def segment_sum(self, x, segment_ids, num_segments, starts):
-        out = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
-        for row, segment in enumerate(segment_ids):
-            out[segment] += x[row]
-        return out
-
-    def segment_max(self, x, segment_ids, num_segments, starts):
-        out = np.full((num_segments,) + x.shape[1:], -np.inf, dtype=x.dtype)
-        for row, segment in enumerate(segment_ids):
-            np.maximum(out[segment], x[row], out=out[segment])
-        return out
-
-
-_BACKEND: SparseBackend = ScipyBackend()
-
-
-def get_backend() -> SparseBackend:
-    """The backend the sparse autograd ops currently dispatch to."""
-    return _BACKEND
-
-
-def set_backend(backend: SparseBackend) -> SparseBackend:
-    """Install ``backend`` process-wide; returns the previous one."""
-    global _BACKEND
-    if not isinstance(backend, SparseBackend):
-        raise TypeError(
-            f"backend must implement the SparseBackend protocol, got {backend!r}"
+    if out is not None and _can_use_csr_matvecs(a, x, out):
+        out[...] = 0.0
+        n_rows, n_cols = a.shape
+        _csr_matvecs(
+            n_rows, n_cols, x.shape[1],
+            a.indptr, a.indices, a.data,
+            np.ascontiguousarray(x).ravel(), out.ravel(),
         )
-    previous = _BACKEND
-    _BACKEND = backend
-    return previous
+        return out
+    result = a @ x
+    if out is not None:
+        out[...] = result
+        return out
+    return result
 
 
-@contextlib.contextmanager
-def use_backend(backend: SparseBackend):
-    """Temporarily dispatch kernels to ``backend`` (restores on exit)."""
-    previous = set_backend(backend)
-    try:
-        yield backend
-    finally:
-        set_backend(previous)
+def segment_sum(
+    x: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    starts: np.ndarray | None,
+) -> np.ndarray:
+    """Scatter-add rows into segments; ``starts`` is the row offset per
+    segment when ``segment_ids`` is sorted (else ``None``)."""
+    if starts is not None:
+        # Sorted segment ids (the GraphBatch layout): compiled
+        # reduceat — same left-to-right accumulation order as the
+        # scatter-add below, so the results are bit-identical.
+        return np.add.reduceat(x, starts, axis=0)
+    out = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
+    np.add.at(out, segment_ids, x)
+    return out
+
+
+def segment_max(
+    x: np.ndarray,
+    segment_ids: np.ndarray,
+    num_segments: int,
+    starts: np.ndarray | None,
+) -> np.ndarray:
+    """Per-segment row-wise maximum (segments must be non-empty)."""
+    if starts is not None:
+        return np.maximum.reduceat(x, starts, axis=0)
+    out = np.full((num_segments,) + x.shape[1:], -np.inf, dtype=x.dtype)
+    np.maximum.at(out, segment_ids, x)
+    return out
 
 
 class KernelWorkspace:

@@ -12,7 +12,7 @@ The switch is a context manager, mirroring :func:`repro.nn.no_grad`::
         model = GCNClassifier(...)          # float32 parameters
         train_gnn(model, train_set, ...)    # float32 end to end
 
-Tolerance contract (documented in DESIGN.md §Kernel backend): float32
+Tolerance contract (documented in DESIGN.md §Sparse kernels): float32
 training losses track the float64 reference to ~1e-4 relative over
 short runs; they are *not* bit-identical, and runs that need exact
 reproducibility must stay in the default float64.  Mixed-dtype inputs

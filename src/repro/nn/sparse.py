@@ -13,10 +13,10 @@ as ``1/num_graphs`` — so it is stored in CSR form (:class:`CSRMatrix`).
 The ops here are the autograd-facing entry points: like every op in
 :mod:`repro.nn.tensor` they record a backward closure on the tape and
 are finite-difference tested in ``tests/test_autograd.py``.  The raw
-kernels underneath dispatch through the pluggable
-:class:`repro.nn.backend.SparseBackend` seam, and every op accepts an
-optional :class:`~repro.nn.backend.KernelWorkspace` so repeated steps
-reuse output/gradient buffers instead of reallocating.
+kernels underneath are the plain functions of :mod:`repro.nn.backend`,
+and every op accepts an optional
+:class:`~repro.nn.backend.KernelWorkspace` so repeated steps reuse
+output/gradient buffers instead of reallocating.
 
 The CSR matrix itself is a *constant* of the graph (no gradients flow
 into its values).  Differentiable adjacencies — the soft edge masks the
@@ -30,7 +30,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse as _sp
 
-from repro.nn.backend import KernelWorkspace, get_backend
+from repro.nn import backend as kernels
+from repro.nn.backend import KernelWorkspace
 from repro.nn.tensor import Tensor
 
 __all__ = [
@@ -177,7 +178,7 @@ def csr_matmul(
     out = None
     if workspace is not None and x_data.ndim == 2:
         out = workspace.buffer(slot, (mat.shape[0], x_data.shape[1]), x_data.dtype)
-    data = get_backend().spmm(mat, x_data, out=out)
+    data = kernels.spmm(mat, x_data, out=out)
 
     def backward(grad: np.ndarray) -> None:
         a_t = a.transpose(grad.dtype)
@@ -186,10 +187,9 @@ def csr_matmul(
             grad_out = workspace.buffer(
                 slot + ":bwd", (a_t.shape[0], grad.shape[1]), grad.dtype
             )
-        grad_x = get_backend().spmm(a_t, grad, out=grad_out)
-        x._accumulate_owned(np.asarray(grad_x))
+        x._accumulate_owned(kernels.spmm(a_t, grad, out=grad_out))
 
-    return Tensor._from_op(np.asarray(data), (x,), backward, "csr_matmul")
+    return Tensor._from_op(data, (x,), backward, "csr_matmul")
 
 
 def _edge_csr(
@@ -224,12 +224,12 @@ def edge_spmm(
     if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
         raise ValueError("rows, cols and weights must be 1-D of equal length")
     mat = _edge_csr(rows, cols, weights.data, (num_rows, x.shape[0]))
-    data = np.asarray(get_backend().spmm(mat, x.data))
+    data = kernels.spmm(mat, x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             mat_t = _edge_csr(cols, rows, weights.data, (x.shape[0], num_rows))
-            x._accumulate_owned(np.asarray(get_backend().spmm(mat_t, grad)))
+            x._accumulate_owned(kernels.spmm(mat_t, grad))
         if weights.requires_grad:
             weights._accumulate_owned(
                 np.einsum("ij,ij->i", grad[rows], x.data[cols])
@@ -268,7 +268,7 @@ def gcn_layer(
     out = None
     if workspace is not None:
         out = workspace.buffer(slot, (mat.shape[0], support.shape[1]), support.dtype)
-    h = np.asarray(get_backend().spmm(mat, support, out=out))
+    h = kernels.spmm(mat, support, out=out)
     h += bias.data
     np.maximum(h, 0.0, out=h)
     h *= mask
@@ -282,9 +282,7 @@ def gcn_layer(
             grad_support_out = workspace.buffer(
                 slot + ":bwd", support.shape, g.dtype
             )
-        grad_support = np.asarray(
-            get_backend().spmm(a_t, g, out=grad_support_out)
-        )
+        grad_support = kernels.spmm(a_t, g, out=grad_support_out)
         if bias.requires_grad:
             bias._accumulate_owned(g.sum(axis=0, keepdims=True))
         if weight.requires_grad:
@@ -351,12 +349,12 @@ def segment_sum(
     segment_ids = _check_segments(x, segment_ids, num_segments)
     if starts is None:
         starts = segment_starts(segment_ids, num_segments)
-    out = get_backend().segment_sum(x.data, segment_ids, num_segments, starts)
+    out = kernels.segment_sum(x.data, segment_ids, num_segments, starts)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate_owned(grad[segment_ids])
 
-    return Tensor._from_op(np.asarray(out), (x,), backward, "segment_sum")
+    return Tensor._from_op(out, (x,), backward, "segment_sum")
 
 
 def segment_max(
@@ -380,9 +378,7 @@ def segment_max(
                 raise ValueError(
                     "segment_max requires every segment to be non-empty"
                 )
-    out = np.asarray(
-        get_backend().segment_max(x.data, segment_ids, num_segments, starts)
-    )
+    out = kernels.segment_max(x.data, segment_ids, num_segments, starts)
 
     def backward(grad: np.ndarray) -> None:
         winners = (x.data == out[segment_ids]).astype(x.data.dtype)

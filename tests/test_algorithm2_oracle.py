@@ -10,17 +10,15 @@ Contract: ``node_order``, ``node_scores``, every level's ``kept_nodes``
 and ``predicted_class`` are ``np.array_equal`` — no tolerance — with
 and without an embedding cache, on padded and unpadded graphs and the
 edge cases (self-jump blocks, weight-2 call edges, edgeless, single
-node, disconnected), without feature masking, for a context-aware
-scorer, an ensemble and a DGCNN.
+node, disconnected), without feature masking, and for a DGCNN.
 """
 
 import numpy as np
 import pytest
 
 from repro.acfg import ACFG
-from repro.core import CFGExplainer, CFGExplainerEnsemble, CFGExplainerModel, interpret
+from repro.core import CFGExplainer, CFGExplainerModel, interpret
 from repro.core.interpret import rung_a_hat
-from repro.core.model import NodeScorer
 from repro.explain.base import level_fractions
 from repro.explain.explanation import kept_count
 from repro.gnn import DGCNNClassifier, EmbeddingCache
@@ -216,32 +214,6 @@ class TestOracle:
             assert_matches_oracle(
                 trained_theta, trained_gnn, graph, mask_features=False
             )
-
-    def test_graph_context_scorer(self, trained_gnn, small_dataset):
-        """A context scorer sees pruned rows, so their self-loops matter."""
-        _, test_set = small_dataset
-        theta = CFGExplainerModel(
-            trained_gnn.embedding_size, 12, rng=np.random.default_rng(3)
-        )
-        theta.scorer = NodeScorer(
-            trained_gnn.embedding_size, graph_context=True,
-            rng=np.random.default_rng(4),
-        )
-        for graph in [*test_set.graphs[:4], EDGE_CASES["self_jumps"]()]:
-            for mask_features in (True, False):
-                assert_matches_oracle(
-                    theta, trained_gnn, graph, mask_features=mask_features
-                )
-
-    def test_ensemble(self, trained_gnn, trained_theta, small_dataset, warm_cache):
-        _, test_set = small_dataset
-        other = CFGExplainerModel(
-            trained_gnn.embedding_size, 12, rng=np.random.default_rng(5)
-        )
-        ensemble = CFGExplainerEnsemble([trained_theta, other])
-        for graph in test_set.graphs[:4]:
-            assert_matches_oracle(ensemble, trained_gnn, graph)
-            assert_matches_oracle(ensemble, trained_gnn, graph, cache=warm_cache)
 
     def test_dgcnn(self, small_dataset):
         _, test_set = small_dataset

@@ -1,47 +1,15 @@
-"""Tests for Algorithm 1's training options (regularizers, probes)."""
+"""Tests for Algorithm 1's training options (the sparsity and faithfulness terms)."""
 
 import numpy as np
-import pytest
 
 from repro.core import CFGExplainerModel, train_cfgexplainer
 from repro.core.training import precompute_embeddings
-from repro.nn import Tensor
 
 
 class TestPrecomputeEmbeddings:
     def test_one_sample_per_graph_by_default(self, trained_gnn, small_dataset):
         train_set, _ = small_dataset
         cached = precompute_embeddings(trained_gnn, train_set)
-        assert len(cached) == len(train_set)
-
-    def test_augmentation_adds_variants(self, trained_gnn, small_dataset):
-        train_set, _ = small_dataset
-        cached = precompute_embeddings(
-            trained_gnn, train_set, augment_prune_fractions=(0.3, 0.6)
-        )
-        assert len(cached) == 3 * len(train_set)
-
-    def test_variant_targets_match_full_graph(self, trained_gnn, small_dataset):
-        train_set, _ = small_dataset
-        cached = precompute_embeddings(
-            trained_gnn, train_set, augment_prune_fractions=(0.5,)
-        )
-        # Entries come in (full, variant) pairs per graph.
-        for i in range(0, len(cached), 2):
-            assert cached[i].gnn_class == cached[i + 1].gnn_class
-
-    def test_variant_embeddings_differ_from_full(self, trained_gnn, small_dataset):
-        train_set, _ = small_dataset
-        cached = precompute_embeddings(
-            trained_gnn, train_set, augment_prune_fractions=(0.5,)
-        )
-        assert not np.allclose(cached[0].embeddings, cached[1].embeddings)
-
-    def test_degenerate_fraction_skipped(self, trained_gnn, small_dataset):
-        train_set, _ = small_dataset
-        cached = precompute_embeddings(
-            trained_gnn, train_set, augment_prune_fractions=(0.0,)
-        )
         assert len(cached) == len(train_set)
 
 
@@ -62,7 +30,6 @@ class TestTrainingOptions:
             trained_gnn,
             train_set,
             sparsity_weight=0.0,
-            entropy_weight=0.0,
             faithfulness_weight=0.0,
         )
         assert len(history.losses) == 10
@@ -74,43 +41,6 @@ class TestTrainingOptions:
         self._train(trained_gnn, train_set, faithfulness_weight=1.0)
         for original, after in zip(before, trained_gnn.parameters()):
             np.testing.assert_array_equal(original, after.data)
-
-    def test_multi_sample_probe(self, trained_gnn, small_dataset):
-        train_set, _ = small_dataset
-        _, history = self._train(
-            trained_gnn, train_set, faithfulness_samples=3
-        )
-        assert all(np.isfinite(history.losses))
-
-    def test_budget_sparsity_keeps_scores_above_plain_sparsity(
-        self, trained_gnn, small_dataset
-    ):
-        """A target budget must hold scores higher than plain shrinkage."""
-        train_set, _ = small_dataset
-        theta_budget, _ = self._train(
-            trained_gnn,
-            train_set,
-            sparsity_weight=2.0,
-            sparsity_target=0.3,
-            faithfulness_weight=0.0,
-        )
-        theta_plain, _ = self._train(
-            trained_gnn,
-            train_set,
-            sparsity_weight=2.0,
-            sparsity_target=None,
-            faithfulness_weight=0.0,
-        )
-        graph = train_set[0]
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[: graph.n_real] = True
-        from repro.nn import no_grad
-
-        with no_grad():
-            z = trained_gnn.embed(graph.adjacency, graph.features, mask)
-        budget_mean = theta_budget.node_scores(z, graph.n_real).mean()
-        plain_mean = theta_plain.node_scores(z, graph.n_real).mean()
-        assert budget_mean > plain_mean
 
     def test_sparsity_pushes_scores_down(self, trained_gnn, small_dataset):
         train_set, _ = small_dataset
