@@ -4,7 +4,6 @@ from repro.acfg.dataset import ACFGDataset, FeatureScaler, train_test_split
 from repro.acfg.features import (
     FEATURE_NAMES,
     NUM_FEATURES,
-    block_features,
     cfg_feature_matrix,
 )
 from repro.acfg.graph import ACFG, from_sample
@@ -19,7 +18,6 @@ from repro.acfg.ingest import (
 __all__ = [
     "FEATURE_NAMES",
     "NUM_FEATURES",
-    "block_features",
     "cfg_feature_matrix",
     "ACFG",
     "from_sample",

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.disasm.cfg import BasicBlock, CFG
-from repro.disasm.isa import InstructionCategory
+from repro.disasm.cfg import CFG
+from repro.disasm.instruction import NUMERIC_OPERAND, STRING_OPERAND
+from repro.disasm.isa import InstructionCategory, MNEMONIC_CATEGORIES
 
-__all__ = ["FEATURE_NAMES", "NUM_FEATURES", "block_features", "cfg_feature_matrix"]
+__all__ = ["FEATURE_NAMES", "NUM_FEATURES", "cfg_feature_matrix"]
 
 #: Order matches Table I top-to-bottom.
 FEATURE_NAMES: tuple[str, ...] = (
@@ -32,38 +33,34 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 NUM_FEATURES: int = len(FEATURE_NAMES)
 
-_CATEGORY_FEATURES: tuple[tuple[int, InstructionCategory], ...] = (
-    (2, InstructionCategory.TRANSFER),
-    (3, InstructionCategory.CALL),
-    (4, InstructionCategory.ARITHMETIC),
-    (5, InstructionCategory.COMPARE),
-    (6, InstructionCategory.MOV),
-    (7, InstructionCategory.TERMINATION),
-    (8, InstructionCategory.DATA_DECLARATION),
-)
+#: Table I column of each counted instruction category.
+_CATEGORY_COLUMNS: dict[InstructionCategory, int] = {
+    InstructionCategory.TRANSFER: 2,
+    InstructionCategory.CALL: 3,
+    InstructionCategory.ARITHMETIC: 4,
+    InstructionCategory.COMPARE: 5,
+    InstructionCategory.MOV: 6,
+    InstructionCategory.TERMINATION: 7,
+    InstructionCategory.DATA_DECLARATION: 8,
+}
 
+#: Counts that feed no feature (OTHER mnemonics, non-constant operands)
+#: land in this scratch column past the last feature.
+_SCRATCH = NUM_FEATURES
 
-def block_features(block: BasicBlock, out_degree: int) -> np.ndarray:
-    """The 12-dimensional feature vector for one basic block."""
-    features = np.zeros(NUM_FEATURES, dtype=np.float64)
-    for instruction in block.instructions:
-        features[0] += instruction.numeric_constant_count
-        features[1] += instruction.string_constant_count
-        category = instruction.category
-        for index, wanted in _CATEGORY_FEATURES:
-            if category is wanted:
-                features[index] += 1
-                break
-    features[9] = len(block.instructions)
-    features[10] = out_degree
-    features[11] = len(block.instructions)
-    return features
+_MNEMONIC_COLUMNS: dict[str, int] = {
+    mnemonic: _CATEGORY_COLUMNS.get(category, _SCRATCH)
+    for mnemonic, category in MNEMONIC_CATEGORIES.items()
+}
 
 
 def cfg_feature_matrix(cfg: CFG) -> np.ndarray:
-    """Stack block features into the paper's ``X ∈ R^{N×d}`` matrix."""
-    if cfg.node_count == 0:
-        return np.zeros((0, NUM_FEATURES), dtype=np.float64)
+    """The paper's ``X ∈ R^{N×d}``: one Table I row per block, in one pass.
+
+    Each distinct operand string is classified as a numeric or string
+    constant once per call, however many instructions repeat it.
+    """
+    matrix = np.zeros((cfg.node_count, NUM_FEATURES), dtype=np.float64)
     # "# Offspring (The degree)": number of distinct successor blocks,
     # matching the nonzero entries of the adjacency row.
     out_degrees = np.zeros(cfg.node_count, dtype=int)
@@ -72,9 +69,20 @@ def cfg_feature_matrix(cfg: CFG) -> np.ndarray:
         successor_sets.setdefault(source, set()).add(target)
     for source, targets in successor_sets.items():
         out_degrees[source] = len(targets)
-    return np.stack(
-        [
-            block_features(block, int(out_degrees[block.index]))
-            for block in cfg.blocks
-        ]
-    )
+    operand_columns: dict[str, int] = {}
+    for row, block in enumerate(cfg.blocks):
+        counts = [0] * (NUM_FEATURES + 1)
+        for instruction in block.instructions:
+            counts[_MNEMONIC_COLUMNS[instruction.mnemonic]] += 1
+            for operand in instruction.operands:
+                if operand not in operand_columns:
+                    operand_columns[operand] = (
+                        0 if NUMERIC_OPERAND.match(operand)
+                        else 1 if STRING_OPERAND.match(operand)
+                        else _SCRATCH
+                    )
+                counts[operand_columns[operand]] += 1
+        counts[9] = counts[11] = len(block.instructions)
+        matrix[row] = counts[:NUM_FEATURES]
+    matrix[:, 10] = out_degrees[[block.index for block in cfg.blocks]]
+    return matrix

@@ -116,32 +116,38 @@ class SampleIngest:
 
 
 def _sanitize_one(
-    sample: LabeledSample, sanitizer: "GraphSanitizer"
+    sample: LabeledSample,
+    sanitizer: "GraphSanitizer",
+    graph: ACFG | None = None,
+    cfg_checks: bool = True,
 ) -> "tuple[ACFG | None, list[QuarantineRecord]]":
     """Sanitizer checks + CFG→ACFG conversion for one sample.
 
     Conversion happens inside the try/except so a sample whose
     construction explodes is quarantined as ``construction_error``
-    rather than crashing ingestion.
+    rather than crashing ingestion.  A prebuilt ``graph`` is checked
+    instead of a conversion; ``cfg_checks=False`` skips the CFG checks.
     """
     from repro.harden.sanitize import QuarantineRecord
 
-    records = sanitizer.check_sample(sample)
-    graph = None
-    try:
-        graph = from_sample(sample)
-    except Exception as error:  # hostile input can fail anywhere
-        records.append(
-            QuarantineRecord(
-                sample.program.name,
-                sample.family,
-                "construction_error",
-                f"{type(error).__name__}: {error}",
-                "construction",
+    records = sanitizer.check_sample(sample) if cfg_checks else []
+    if any(r.reason == "construction_error" for r in records):
+        return None, records  # an edge leaves the graph: nothing to convert
+    if graph is None:
+        try:
+            graph = from_sample(sample)
+        except Exception as error:  # hostile input can fail anywhere
+            records.append(
+                QuarantineRecord(
+                    sample.program.name,
+                    sample.family,
+                    "construction_error",
+                    f"{type(error).__name__}: {error}",
+                    "construction",
+                )
             )
-        )
-    else:
-        records.extend(sanitizer.check_acfg(graph))
+            return None, records
+    records.extend(sanitizer.check_acfg(graph))
     return graph, records
 
 
@@ -258,8 +264,9 @@ def ingest_corpus(
         from repro.staticcheck import verify_corpus
 
         # Verify the graphs this ingest admits, not fresh conversions.
+        # Dataflow findings are never ERRORs, so the gate skips them.
         with obs_span(f"{span_prefix}.verify"):
-            verify_corpus(corpus, mode=policy.verify, graphs=graphs)
+            verify_corpus(corpus, mode=policy.verify, graphs=graphs, dataflow=False)
 
     lift_maps = None
     reduction = None
@@ -316,26 +323,10 @@ def ingest_sample(
     if stage_hook is not None:
         stage_hook("sanitize")
     if policy.on_bad_input is not None:
-        if skip_cfg_checks:
-            graph = prebuilt
-            if graph is None:
-                try:
-                    graph = from_sample(sample)
-                except Exception as error:
-                    result.records.append(
-                        QuarantineRecord(
-                            sample.program.name,
-                            sample.family,
-                            "construction_error",
-                            f"{type(error).__name__}: {error}",
-                            "construction",
-                        )
-                    )
-            if graph is not None:
-                result.records.extend(sanitizer.check_acfg(graph))
-        else:
-            graph, records = _sanitize_one(sample, sanitizer)
-            result.records.extend(records)
+        graph, records = _sanitize_one(
+            sample, sanitizer, prebuilt, cfg_checks=not skip_cfg_checks
+        )
+        result.records.extend(records)
         result.fatal = [r for r in result.records if sanitizer.is_fatal(r)]
         if result.fatal:
             add_counter("harden.quarantined")
@@ -353,9 +344,9 @@ def ingest_sample(
     if policy.verify is not None and not skip_cfg_checks:
         from repro.staticcheck import Severity, verify_acfg
 
-        # The admitted graph itself, so the classifier never sees an
-        # ACFG the verifier did not check.
-        findings = verify_acfg(graph, sample.cfg, sample.program)
+        # The admitted graph itself, so the classifier never sees an ACFG the
+        # verifier did not check; dataflow findings are never ERRORs, so skip them.
+        findings = verify_acfg(graph, sample.cfg, sample.program, dataflow=False)
         errors = [f for f in findings if f.severity >= Severity.ERROR]
         if errors:
             for finding in errors:

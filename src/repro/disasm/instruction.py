@@ -13,12 +13,12 @@ from repro.disasm.isa import (
     is_register,
 )
 
-__all__ = ["Instruction"]
+__all__ = ["Instruction", "NUMERIC_OPERAND", "STRING_OPERAND"]
 
 # Immediate operands: decimal (42, -7) or hex in masm style (0FFh, 87BDC1D7h)
 # or 0x-prefixed.
-_NUMERIC_RE = re.compile(r"^-?(?:\d+|0x[0-9a-fA-F]+|[0-9][0-9a-fA-F]*h)$")
-_STRING_RE = re.compile(r"^(?:'[^']*'|\"[^\"]*\")$")
+NUMERIC_OPERAND = re.compile(r"^-?(?:\d+|0x[0-9a-fA-F]+|[0-9][0-9a-fA-F]*h)$")
+STRING_OPERAND = re.compile(r"^(?:'[^']*'|\"[^\"]*\")$")
 _MEMORY_RE = re.compile(r"^(?:\w+:)?\[.*\]$")
 
 
@@ -86,7 +86,7 @@ class Instruction:
             return None
         if operand.startswith("j_"):  # thunk to an imported symbol
             return None
-        if _NUMERIC_RE.match(operand) or _STRING_RE.match(operand):
+        if NUMERIC_OPERAND.match(operand) or STRING_OPERAND.match(operand):
             return None
         return operand
 
@@ -107,11 +107,11 @@ class Instruction:
     # ------------------------------------------------------------------
     @property
     def numeric_constant_count(self) -> int:
-        return sum(1 for op in self.operands if _NUMERIC_RE.match(op))
+        return sum(1 for op in self.operands if NUMERIC_OPERAND.match(op))
 
     @property
     def string_constant_count(self) -> int:
-        return sum(1 for op in self.operands if _STRING_RE.match(op))
+        return sum(1 for op in self.operands if STRING_OPERAND.match(op))
 
     # ------------------------------------------------------------------
     # register dataflow (used by the qualitative analysis)

@@ -71,9 +71,9 @@ def _unreachable(name: str) -> LabeledSample:
 def _dangling_edge(name: str) -> LabeledSample:
     """A CFG whose edge list points at a block that does not exist.
 
-    Models a corrupted disassembler export; adjacency-matrix
-    construction fails, which ingestion must quarantine as a
-    ``construction_error`` rather than crash on.
+    Models a corrupted disassembler export.  The sanitizer's endpoint
+    range check records a fatal ``construction_error`` at the ``cfg``
+    stage, which ingestion must quarantine rather than crash on.
     """
     program = parse_program("mov eax, 1\nret", name=name)
     cfg = build_cfg(program)

@@ -23,6 +23,7 @@ Findings are split into two severities:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +150,7 @@ class QuarantineReport:
         return "\n".join(lines)
 
 
-def _components(n: int, edges: np.ndarray) -> int:
+def _components(n: int, edges: Iterable[Sequence[int]]) -> int:
     """Weakly connected component count via union-find."""
     parent = list(range(n))
 
@@ -196,22 +197,26 @@ class GraphSanitizer:
         if cfg.node_count == 0:
             note("empty_graph", "CFG has no basic blocks")
             return records
+        n = cfg.node_count
+        pairs = [(s, t) for s, t, _ in cfg.edges]
+        dangling = [(s, t) for s, t in pairs if not (0 <= s < n and 0 <= t < n)]
+        if dangling:
+            detail = f"{len(dangling)} edge(s) leave the {n}-block graph, first {dangling[0]}"
+            note("construction_error", detail)
         if cfg.node_count == 1:
             note("single_block", "CFG is a single basic block")
         if cfg.node_count > self.max_nodes:
             note("oversized_nodes", f"{cfg.node_count} blocks > {self.max_nodes}")
         if cfg.edge_count > self.max_edges:
             note("oversized_edges", f"{cfg.edge_count} edges > {self.max_edges}")
-        pairs = [(s, t) for s, t, _ in cfg.edges]
         dupes = len(pairs) - len(set(pairs))
         if dupes:
             note("duplicate_edges", f"{dupes} duplicate edge(s) in the edge list")
         self_loops = sum(1 for s, t in pairs if s == t)
         if self_loops:
             note("self_loop", f"{self_loops} self-loop edge(s)")
-        if cfg.node_count > 1:
-            unique = np.array(sorted(set(pairs)), dtype=int).reshape(-1, 2)
-            if _components(cfg.node_count, unique) > 1:
+        if n > 1 and not dangling:
+            if _components(n, set(pairs)) > 1:
                 note("disconnected", "CFG has more than one weak component")
         return records
 
@@ -259,9 +264,7 @@ class GraphSanitizer:
         if np.any(np.diag(adjacency) != 0):
             note("self_loop", f"{int((np.diag(adjacency) != 0).sum())} self-loop(s)")
         if graph.n_real > 1:
-            sym = (adjacency != 0) | (adjacency.T != 0)
-            edges = np.argwhere(sym)
-            if _components(graph.n_real, edges) > 1:
+            if _components(graph.n_real, np.argwhere(adjacency).tolist()) > 1:
                 note("disconnected", "ACFG has more than one weak component")
         return records
 

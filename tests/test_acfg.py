@@ -11,7 +11,6 @@ from repro.acfg import (
     FEATURE_NAMES,
     FeatureScaler,
     NUM_FEATURES,
-    block_features,
     cfg_feature_matrix,
     from_sample,
     train_test_split,
@@ -74,8 +73,11 @@ class TestBlockFeatures:
 
     def test_block_features_no_out_edges(self):
         cfg = tiny_cfg()
-        vector = block_features(cfg.blocks[0], out_degree=0)
-        assert vector[FEATURE_NAMES.index("offspring")] == 0
+        ret_block = cfg.node_count - 1
+        assert cfg.blocks[ret_block].terminator.is_return
+        assert cfg.out_degree(ret_block) == 0
+        features = cfg_feature_matrix(cfg)
+        assert features[ret_block][FEATURE_NAMES.index("offspring")] == 0
 
 
 class TestACFGContainer:

@@ -2,11 +2,15 @@
 
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from repro.acfg import ACFGDataset, FeatureScaler
 from repro.acfg.graph import ACFG, from_sample
+from repro.acfg.ingest import IngestPolicy, ingest_corpus, ingest_sample
+from repro.disasm import build_cfg, parse_program
+from repro.disasm.cfg import CFG, EdgeKind
 from repro.gnn import GCNClassifier, train_gnn
 from repro.harden import (
     FLAG_REASONS,
@@ -19,8 +23,10 @@ from repro.harden import (
     run_fuzz,
     sanitize_graphs,
 )
+from repro.harden.sanitize import _components
 from repro.malgen import generate_corpus
 from repro.nn import Adam, NumericalError, Tensor, clip_grad_norm, grad_norm
+from tests.test_admit_equivalence import hostile_samples, labeled
 
 
 def clean_graph(n=6, n_real=4):
@@ -191,6 +197,85 @@ class TestHostileInjection:
         )
         reasons = dataset.quarantine.by_reason()
         assert reasons.get("construction_error") == 1
+
+
+def two_block_sample(edge):
+    """A 2-block CFG whose only edge is ``edge``."""
+    program = parse_program("mov eax, 1\njmp out\nout:\nret", name=f"edge{edge}")
+    cfg = build_cfg(program)
+    assert cfg.node_count == 2
+    return labeled(program, CFG(cfg.blocks, [(*edge, EdgeKind.JUMP)], cfg.name))
+
+
+@pytest.mark.parametrize("edge", [(0, 99), (0, -1), (-1, 1), (2, 0)])
+class TestDanglingEdges:
+    def test_sanitizer_records_fatal_construction_error(self, edge):
+        sanitizer = GraphSanitizer()
+        records = sanitizer.check_sample(two_block_sample(edge))
+        assert [(r.reason, r.stage) for r in records] == [("construction_error", "cfg")]
+        assert sanitizer.is_fatal(records[0])
+        assert f"first {edge}" in records[0].detail
+
+    @pytest.mark.parametrize("verify", [None, "strict", "warn"])
+    def test_quarantined_by_ingest_sample(self, edge, verify):
+        policy = IngestPolicy(on_bad_input="quarantine", verify=verify)
+        result = ingest_sample(two_block_sample(edge), policy)
+        assert not result.ok
+        assert [r.reason for r in result.fatal] == ["construction_error"]
+
+    def test_quarantined_by_ingest_corpus(self, edge):
+        corpus = generate_corpus(1, seed=0, families=("Bagle",))
+        sample = two_block_sample(edge)
+        result = ingest_corpus(
+            corpus + [sample], IngestPolicy(on_bad_input="quarantine", verify="strict")
+        )
+        assert result.quarantine.quarantined == [sample.program.name]
+        assert len(result.graphs) == len(corpus)
+
+    def test_raise_policy_raises_hostile_input_error(self, edge):
+        with pytest.raises(HostileInputError, match="construction_error"):
+            ingest_corpus(
+                [two_block_sample(edge)],
+                IngestPolicy(on_bad_input="raise", verify="strict"),
+            )
+
+
+def component_count(n, edges):
+    """``_components`` checked against networkx's weak components."""
+    edges = [(int(a), int(b)) for a, b in edges]
+    reference = nx.DiGraph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges)
+    count = _components(n, edges)
+    assert count == nx.number_weakly_connected_components(reference)
+    return count
+
+
+class TestComponentCount:
+    def test_matches_networkx_on_default_and_hostile_corpora(self):
+        sanitizer = GraphSanitizer()
+        for sample in generate_corpus(2, seed=0) + hostile_samples():
+            n = sample.cfg.node_count
+            edges = [(s, t) for s, t, _ in sample.cfg.edges]
+            if n < 2 or any(not (0 <= v < n) for edge in edges for v in edge):
+                continue
+            disconnected = component_count(n, edges) > 1
+            cfg_reasons = {r.reason for r in sanitizer.check_sample(sample)}
+            assert ("disconnected" in cfg_reasons) == disconnected
+            acfg_reasons = {r.reason for r in sanitizer.check_acfg(from_sample(sample))}
+            assert ("disconnected" in acfg_reasons) == disconnected
+
+    def test_matches_networkx_on_random_graphs(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(0, 2 * n))
+            component_count(n, rng.integers(0, n, size=(m, 2)))
+
+    def test_unreachable_sample_is_disconnected(self):
+        assert component_count(3, [(0, 1)]) == 2
+        records = GraphSanitizer().check_sample(hostile_sample("unreachable"))
+        assert "disconnected" in {r.reason for r in records}
 
 
 class TestFeatureScalerValidation:
