@@ -95,11 +95,18 @@ class CFG:
         """The paper's weighted adjacency: 1 fallthrough/jump, 2 call.
 
         Parallel edges of different kinds between the same pair keep the
-        largest weight (a call dominates a fallthrough).
+        largest weight (a call dominates a fallthrough).  An edge with an
+        endpoint outside ``[0, n)`` raises ``ValueError`` instead of
+        indexing past (or, for a negative index, wrapping around) the
+        matrix.
         """
         n = self.node_count
         matrix = np.zeros((n, n), dtype=np.int8)
         for source, target, kind in self.edges:
+            if not (0 <= source < n and 0 <= target < n):
+                raise ValueError(
+                    f"edge ({source} -> {target}) leaves the {n}-block graph"
+                )
             matrix[source, target] = max(matrix[source, target], kind.weight)
         return matrix
 

@@ -2,8 +2,8 @@
 
 Φ_e stacks ReLU-activated graph-convolution layers (the paper uses
 sizes 1024/512/128 on a P100; defaults here are scaled down but
-configurable) and Φ_c is a dense softmax classifier that consumes all
-node embeddings via sum pooling.
+configurable) and Φ_c is a dense softmax classifier over the
+per-dimension max of all node embeddings.
 """
 
 from repro.gnn.batch import BatchPacker, GraphBatch, iter_batches

@@ -6,25 +6,24 @@
   block-diagonal CSR matrix.  Messages cannot cross blocks, so one
   sparse matmul over the batch equals per-graph dense matmuls exactly.
 * ``features`` — node features stacked row-wise, ``[total_nodes, d]``,
-  in the process compute dtype (:mod:`repro.nn.dtype`).
+  as float64.
 * ``segment_ids`` — the graph index of every stacked row, which turns
-  per-graph pooling into segment reductions (:func:`repro.nn.segment_sum`
-  / :func:`repro.nn.segment_max`).
+  per-graph max pooling into a segment reduction
+  (:func:`repro.nn.segment_max`).
 * ``workspace`` — an optional :class:`~repro.nn.backend.KernelWorkspace`
   the batched forward/backward kernels write their large intermediates
   into, so repeated steps reuse buffers instead of reallocating.
 
 Padded rows are packed along with real ones (zero features, no edges,
 ``active_mask`` False) so the batched path reproduces the per-graph
-mask and pooling semantics bit-for-bit — including mean pooling's
-divide-by-padded-size convention.
+mask and pooling semantics bit-for-bit.
 
 :func:`iter_perturbation_batches` packs many node-masked copies of
 *one* graph instead — the perturbations SubgraphX and the subgraph
 metrics score.  It packs only the real rows of each copy (padding is
-inert, and ``sizes`` still carries the padded size for mean pooling)
-and derives every copy's Â from the graph's edge list rather than
-through an :class:`AHatCache`, whose entries would never be reused.
+inert: its all-zero embeddings never change a maximum) and derives
+every copy's Â from the graph's edge list rather than through an
+:class:`AHatCache`, whose entries would never be reused.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 from repro.acfg.graph import ACFG
 from repro.gnn.cache import AHatCache
 from repro.nn.backend import KernelWorkspace
-from repro.nn.dtype import get_compute_dtype
 from repro.nn.sparse import CSRMatrix
 
 __all__ = [
@@ -58,23 +56,19 @@ PERTURBATION_ROW_BUDGET = 8192
 
 
 def _graph_block(
-    graph: ACFG, a_hat_cache: AHatCache | None, dtype=None
+    graph: ACFG, a_hat_cache: AHatCache | None
 ) -> tuple[CSRMatrix, np.ndarray]:
     """One graph's CSR Â block and active-node mask."""
     if graph.n == 0:
         raise ValueError(f"graph {graph.name!r} has no nodes")
-    dtype = get_compute_dtype() if dtype is None else dtype
     mask = np.zeros(graph.n, dtype=bool)
     mask[: graph.n_real] = True
     if a_hat_cache is not None:
         key = graph.content_key() if isinstance(graph, ACFG) else None
-        return a_hat_cache.get_csr(graph.adjacency, mask, dtype=dtype, key=key), mask
+        return a_hat_cache.get_csr(graph.adjacency, mask, key=key), mask
     from repro.gnn.normalize import normalized_adjacency_csr
 
-    return (
-        CSRMatrix(normalized_adjacency_csr(graph.adjacency, mask), dtype=dtype),
-        mask,
-    )
+    return CSRMatrix(normalized_adjacency_csr(graph.adjacency, mask)), mask
 
 
 @dataclass(frozen=True)
@@ -86,14 +80,13 @@ class GraphBatch:
     segment_ids: np.ndarray  # [total] graph index per stacked row
     active_mask: np.ndarray  # [total] bool, False on padding rows
     labels: np.ndarray  # [B] ground-truth class per graph
-    sizes: np.ndarray  # [B] padded node count per graph
     offsets: np.ndarray  # [B + 1] row ranges: graph i owns offsets[i]:offsets[i+1]
     graphs: tuple[ACFG, ...]  # the packed graphs, in batch order
     workspace: KernelWorkspace | None = field(default=None, compare=False)
 
     @property
     def num_graphs(self) -> int:
-        return len(self.sizes)
+        return len(self.offsets) - 1
 
     @property
     def total_nodes(self) -> int:
@@ -101,9 +94,9 @@ class GraphBatch:
 
     @property
     def mask_column(self) -> np.ndarray:
-        """``active_mask`` as a ``[total, 1]`` 0/1 column in the feature
-        dtype — the constant the fused GCN layers multiply by."""
-        return self.active_mask.astype(self.features.dtype).reshape(-1, 1)
+        """``active_mask`` as a ``[total, 1]`` 0/1 float column — the
+        constant the fused GCN layers multiply by."""
+        return self.active_mask.astype(np.float64).reshape(-1, 1)
 
     def rows_of(self, index: int) -> slice:
         """Row range of graph ``index`` inside the stacked arrays."""
@@ -124,9 +117,8 @@ class GraphBatch:
         """
         if not graphs:
             raise ValueError("cannot batch zero graphs")
-        dtype = get_compute_dtype()
-        pairs = [_graph_block(graph, a_hat_cache, dtype) for graph in graphs]
-        features = [np.asarray(g.features, dtype=dtype) for g in graphs]
+        pairs = [_graph_block(graph, a_hat_cache) for graph in graphs]
+        features = [np.asarray(g.features, dtype=np.float64) for g in graphs]
         return cls._assemble(
             tuple(graphs),
             [b for b, _ in pairs],
@@ -153,7 +145,6 @@ class GraphBatch:
             segment_ids=np.repeat(np.arange(len(graphs), dtype=np.intp), sizes),
             active_mask=np.concatenate(masks),
             labels=np.array([g.label for g in graphs], dtype=np.intp),
-            sizes=sizes,
             offsets=offsets,
             graphs=tuple(graphs),
             workspace=workspace,
@@ -179,12 +170,11 @@ class BatchPacker:
         self, graphs: "Iterable[ACFG]", a_hat_cache: AHatCache | None = None
     ):
         self.graphs = list(graphs)
-        dtype = get_compute_dtype()
-        pairs = [_graph_block(graph, a_hat_cache, dtype) for graph in self.graphs]
+        pairs = [_graph_block(graph, a_hat_cache) for graph in self.graphs]
         self._blocks = [block for block, _ in pairs]
         self._masks = [mask for _, mask in pairs]
         self._features = [
-            np.asarray(g.features, dtype=dtype) for g in self.graphs
+            np.asarray(g.features, dtype=np.float64) for g in self.graphs
         ]
         self.workspace = KernelWorkspace()
 
@@ -255,10 +245,9 @@ def iter_perturbation_batches(
 
     if graph.n == 0:
         raise ValueError(f"graph {graph.name!r} has no nodes")
-    dtype = get_compute_dtype()
     width = max(graph.n_real, 1)  # an all-padding graph still pools one row
     edges = self_looped_edges(graph.adjacency, graph.n_real)
-    features = np.asarray(graph.features[:width], dtype=dtype)
+    features = np.asarray(graph.features[:width], dtype=np.float64)
     per_chunk = max(1, PERTURBATION_ROW_BUDGET // width)
     for start in range(0, len(kept_sets), per_chunk):
         chunk = kept_sets[start : start + per_chunk]
@@ -269,14 +258,13 @@ def iter_perturbation_batches(
         keep = keep[:, :width]
         keep[:, graph.n_real :] = False
         yield GraphBatch(
-            a_hat=CSRMatrix(masked_normalized_csr(edges, keep), dtype=dtype),
+            a_hat=CSRMatrix(masked_normalized_csr(edges, keep)),
             features=(features[None, :, :] * keep[:, :, None]).reshape(
                 count * width, -1
             ),
             segment_ids=np.repeat(np.arange(count, dtype=np.intp), width),
             active_mask=keep.reshape(-1),
             labels=np.full(count, graph.label, dtype=np.intp),
-            sizes=np.full(count, graph.n, dtype=np.intp),
             offsets=np.arange(count + 1, dtype=np.intp) * width,
             graphs=(graph,) * count,
         )

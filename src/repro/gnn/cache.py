@@ -51,11 +51,8 @@ class CacheInfo:
     maxsize: int
 
 
-_F64 = np.dtype(np.float64).str
-
-
 class _AHatEntry:
-    """One cached Â: CSR canonical, dense and casts derived lazily.
+    """One cached Â: CSR canonical, dense derived lazily.
 
     Â is *computed* in CSR form (:func:`normalized_adjacency_csr`) —
     the form the batched engine consumes — and the dense matrix the
@@ -66,15 +63,13 @@ class _AHatEntry:
     __slots__ = ("_dense", "csr")
 
     def __init__(self, csr: CSRMatrix):
-        #: CSR forms keyed by dtype string — the float64 canonical plus
-        #: any compute-dtype casts the batched engine requested.
-        self.csr: dict[str, CSRMatrix] = {_F64: csr}
+        self.csr = csr
         self._dense: np.ndarray | None = None
 
     @property
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            self._dense = self.csr[_F64].toarray()
+            self._dense = self.csr.toarray()
         return self._dense
 
 
@@ -149,17 +144,10 @@ class AHatCache:
         self,
         adjacency: np.ndarray,
         active_mask: np.ndarray | None = None,
-        dtype=None,
         key: bytes | None = None,
     ) -> CSRMatrix:
-        """Â in CSR form (per requested dtype), for batch packing."""
-        entry = self._entry(adjacency, active_mask, key)
-        dtype_str = np.dtype(np.float64 if dtype is None else dtype).str
-        csr = entry.csr.get(dtype_str)
-        if csr is None:
-            csr = CSRMatrix(entry.csr[_F64].astype(dtype_str), dtype=dtype_str)
-            entry.csr[dtype_str] = csr
-        return csr
+        """Â in CSR form, for batch packing."""
+        return self._entry(adjacency, active_mask, key).csr
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self.hits, self.misses, len(self._entries), self.maxsize)

@@ -3,9 +3,9 @@
 Architecture from Section V-A: Φ_e is three inter-connected GCN layers
 with ReLU activations (node embeddings are therefore non-negative, as
 the paper's ``Z ∈ R_{>=0}^{N×f}`` notation requires); Φ_c is a densely
-connected linear layer producing probabilities over the 12 families,
-consuming *all* node embeddings (sum pooling keeps that property while
-staying size-independent).
+connected linear layer producing probabilities over the 12 families
+from the per-dimension max over *all* node embeddings (DESIGN.md
+§"Pooling choice" records why max and not sum or mean).
 
 The classifier has two execution engines:
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.acfg.graph import ACFG
 from repro.gnn.cache import AHatCache
-from repro.nn import Dense, GCNConv, Module, Tensor, no_grad, segment_max, segment_sum
+from repro.nn import Dense, GCNConv, Module, Tensor, no_grad, segment_max
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
     from repro.gnn.batch import GraphBatch
@@ -60,13 +60,10 @@ class GCNClassifier(Module):
         in_features: int = 12,
         hidden: tuple[int, ...] = (64, 48, 32),
         num_classes: int = 12,
-        pooling: str = "max",
         rng: np.random.Generator | None = None,
     ):
         if not hidden:
             raise ValueError("need at least one GCN layer")
-        if pooling not in {"max", "sum", "mean"}:
-            raise ValueError(f"unknown pooling {pooling!r}")
         rng = rng if rng is not None else np.random.default_rng()  # lint: ok (seeded rng is the reproducible path)
         widths = (in_features, *hidden)
         self.convs = [
@@ -74,12 +71,6 @@ class GCNClassifier(Module):
             for w_in, w_out in zip(widths[:-1], widths[1:])
         ]
         self.classifier = Dense(hidden[-1], num_classes, activation="linear", rng=rng)
-        if pooling == "sum":
-            # Sum pooling feeds the classifier activations ~n_real times
-            # larger than a single node's; shrink the initial weights so
-            # the first epochs don't saturate the softmax.
-            self.classifier.weight.data *= 0.1
-        self.pooling = pooling
         self.in_features = in_features
         self.embedding_size = hidden[-1]
         self.num_classes = num_classes
@@ -137,7 +128,7 @@ class GCNClassifier(Module):
     def classify(self, z: Tensor) -> Tensor:
         """Class probabilities from node embeddings (all nodes pooled).
 
-        Default pooling is per-dimension max: the graph is classified by
+        Pooling is per-dimension max: the graph is classified by
         its strongest activations, i.e. by the *evidence-carrying*
         blocks rather than by graph size.  That is what makes small
         well-chosen subgraphs retain the original prediction (the
@@ -147,17 +138,9 @@ class GCNClassifier(Module):
         """
         return self.logits(z).softmax(axis=-1)
 
-    def logits(self, z: Tensor, size: int | None = None) -> Tensor:
-        """Class logits ``[C]``; ``size`` is mean pooling's divisor, the
-        padded node count (default: the rows of ``z``)."""
-        if self.pooling == "max":
-            pooled = z.max(axis=0, keepdims=True)
-        elif self.pooling == "sum":
-            pooled = z.sum(axis=0, keepdims=True)
-        else:  # mean over the padded size (constant divisor)
-            divisor = z.shape[0] if size is None else size
-            pooled = z.sum(axis=0, keepdims=True) * (1.0 / divisor)
-        return self.classifier(pooled).reshape(-1)
+    def logits(self, z: Tensor) -> Tensor:
+        """Class logits ``[C]`` from the max-pooled embeddings."""
+        return self.classifier(z.max(axis=0, keepdims=True)).reshape(-1)
 
     def weighted_edge_proba(
         self, graph: ACFG, rows: np.ndarray, cols: np.ndarray, values: Tensor
@@ -166,15 +149,14 @@ class GCNClassifier(Module):
 
         ``(rows, cols, values)`` lists the entries of Â over the graph's
         real nodes; ``values`` may carry gradient (a soft edge mask
-        times Â).  The GCN layers run on the ``n_real`` real rows only —
-        padding rows are all-zero in the dense path, so they change
-        neither max nor sum pooling — and mean pooling keeps the
-        padded-size divisor, as :meth:`logits_batch` does.
+        times Â).  The GCN layers run on the ``n_real`` real rows only:
+        padding rows are all-zero in the dense path, so they never change
+        the max pooling.
         """
         z = Tensor(graph.features[: graph.n_real])
         for conv in self.convs:
             z = conv.edge_weighted(rows, cols, values, z)
-        return self.logits(z, size=graph.n).softmax(axis=-1)
+        return self.logits(z).softmax(axis=-1)
 
     # ------------------------------------------------------------------
     # batched block-diagonal engine
@@ -202,23 +184,11 @@ class GCNClassifier(Module):
     def logits_batch(self, z: Tensor, batch: "GraphBatch") -> Tensor:
         """Per-graph logits ``[B, C]`` from stacked embeddings.
 
-        Pooling becomes a segment reduction over ``batch.segment_ids``;
-        mean pooling keeps the per-graph path's divide-by-padded-size
-        convention via ``batch.sizes``.
+        Max pooling becomes a segment maximum over ``batch.segment_ids``.
         """
-        starts = batch.offsets[:-1]
-        if self.pooling == "max":
-            pooled = segment_max(
-                z, batch.segment_ids, batch.num_graphs, starts=starts
-            )
-        elif self.pooling == "sum":
-            pooled = segment_sum(
-                z, batch.segment_ids, batch.num_graphs, starts=starts
-            )
-        else:  # mean over the padded size (constant per-graph divisor)
-            pooled = segment_sum(
-                z, batch.segment_ids, batch.num_graphs, starts=starts
-            ) * (1.0 / batch.sizes.astype(np.float64).reshape(-1, 1))
+        pooled = segment_max(
+            z, batch.segment_ids, batch.num_graphs, starts=batch.offsets[:-1]
+        )
         return self.classifier(pooled)
 
     def forward_batch(self, batch: "GraphBatch") -> tuple[Tensor, Tensor]:

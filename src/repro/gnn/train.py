@@ -38,7 +38,6 @@ from repro.nn import (
     Adam,
     NumericalError,
     clip_grad_norm,
-    compute_dtype,
     cross_entropy,
     cross_entropy_batch,
     grad_norm,
@@ -86,19 +85,8 @@ def train_gnn(
     loss_spike_factor: float | None = None,
     max_recoveries: int = 3,
     lr_backoff: float = 0.5,
-    dtype=None,
 ) -> TrainingHistory:
     """Mini-batch Adam training with cross-entropy on true labels.
-
-    ``dtype`` (``None``, ``np.float64`` or ``np.float32``) selects the
-    compute dtype for the whole run via
-    :func:`repro.nn.compute_dtype`: batch packing, forward/backward
-    kernels and fresh optimizer state all follow it.  ``None`` keeps
-    the process default (float64 unless overridden).  float32 runs
-    track the float64 reference within the tolerance documented in
-    :mod:`repro.nn.dtype`, not bit-exactly; note the model's parameters
-    keep the dtype they were *constructed* with — create the model
-    under the same ``compute_dtype`` for an end-to-end float32 run.
 
     Guard semantics:
 
@@ -124,15 +112,6 @@ def train_gnn(
         # Alternative Φ implementations (e.g. DGCNN) that predate the
         # batched engine fall back to the reference loop.
         mode = "per_graph"
-    if dtype is not None:
-        with compute_dtype(dtype):
-            return train_gnn(
-                model, train_set, epochs=epochs, batch_size=batch_size,
-                lr=lr, seed=seed, eval_set=eval_set, mode=mode,
-                verbose=verbose, guard=guard, max_grad_norm=max_grad_norm,
-                loss_spike_factor=loss_spike_factor,
-                max_recoveries=max_recoveries, lr_backoff=lr_backoff,
-            )
     rng = np.random.default_rng(seed)
     optimizer = Adam(model.parameters(), lr=lr)
     history = TrainingHistory()

@@ -7,12 +7,6 @@ without any deep-learning framework.
 """
 
 from repro.nn.backend import KernelWorkspace
-from repro.nn.dtype import (
-    COMPUTE_DTYPES,
-    compute_dtype,
-    get_compute_dtype,
-    set_compute_dtype,
-)
 from repro.nn.guards import (
     NumericalError,
     assert_finite,
@@ -43,11 +37,7 @@ from repro.nn.sparse import (
 from repro.nn.tensor import Tensor, no_grad
 
 __all__ = [
-    "COMPUTE_DTYPES",
     "KernelWorkspace",
-    "compute_dtype",
-    "get_compute_dtype",
-    "set_compute_dtype",
     "NumericalError",
     "assert_finite",
     "assert_finite_array",

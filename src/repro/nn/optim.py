@@ -115,7 +115,7 @@ class Adam(Optimizer):
                 continue
             grad = param.grad
             scratch = self._scratch[index]
-            if scratch is None or scratch[0].dtype != grad.dtype:
+            if scratch is None:
                 scratch = (np.empty_like(grad), np.empty_like(grad))
                 self._scratch[index] = scratch
             s1, s2 = scratch

@@ -46,33 +46,29 @@ __all__ = [
 
 
 class CSRMatrix:
-    """An immutable CSR sparse matrix used as a constant in autograd ops.
+    """An immutable float64 CSR sparse matrix used as a constant in autograd ops.
 
     Wraps ``scipy.sparse.csr_matrix``; the transpose (needed by the
-    backward pass of :func:`csr_matmul`) and any alternate-dtype casts
-    (float32 compute over a float64-canonical Â) are materialized
-    lazily and memoized, so inference-only paths never pay for the
-    transpose and repeated epochs never re-cast.
+    backward pass of :func:`csr_matmul`) is materialized lazily and
+    memoized, so inference-only paths never pay for it and repeated
+    epochs build it once.
     """
 
-    __slots__ = ("matrix", "_transposes", "_casts")
+    __slots__ = ("matrix", "_transpose")
 
-    def __init__(self, matrix, dtype=None):
-        target = np.dtype(np.float64 if dtype is None else dtype)
-        if _sp.issparse(matrix) and matrix.format == "csr" and matrix.dtype == target:
+    def __init__(self, matrix):
+        if _sp.issparse(matrix) and matrix.format == "csr" and matrix.dtype == np.float64:
             self.matrix = matrix
         else:
-            self.matrix = _sp.csr_matrix(matrix, dtype=target)
-        self._transposes: dict[str, _sp.csr_matrix] = {}
-        self._casts: dict[str, _sp.csr_matrix] = {}
+            self.matrix = _sp.csr_matrix(matrix, dtype=np.float64)
+        self._transpose: _sp.csr_matrix | None = None
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_dense(cls, dense: np.ndarray, dtype=None) -> "CSRMatrix":
-        target = np.dtype(np.float64 if dtype is None else dtype)
-        return cls(_sp.csr_matrix(np.asarray(dense, dtype=target)), dtype=target)
+    def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
+        return cls(_sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
 
     @classmethod
     def block_diagonal(cls, blocks: list["CSRMatrix | np.ndarray"]) -> "CSRMatrix":
@@ -82,7 +78,6 @@ class CSRMatrix:
         indices shifted per block, row pointers offset by cumulative
         nnz — because ``scipy.sparse.block_diag`` routes through COO
         and its per-block allocations dominate mini-batch packing.
-        The result keeps the blocks' (promoted) dtype.
         """
         if not blocks:
             raise ValueError("need at least one block")
@@ -91,7 +86,7 @@ class CSRMatrix:
             for b in blocks
         ]
         if len(mats) == 1:
-            return cls(mats[0], dtype=mats[0].dtype)
+            return cls(mats[0])
         rows = np.array([m.shape[0] for m in mats])
         cols = np.array([m.shape[1] for m in mats])
         col_offsets = np.concatenate([[0], np.cumsum(cols[:-1])])
@@ -105,9 +100,7 @@ class CSRMatrix:
             + [m.indptr[1:] + off for m, off in zip(mats[1:], nnz_offsets[1:])]
         )
         shape = (int(rows.sum()), int(cols.sum()))
-        return cls(
-            _sp.csr_matrix((data, indices, indptr), shape=shape), dtype=data.dtype
-        )
+        return cls(_sp.csr_matrix((data, indices, indptr), shape=shape))
 
     # ------------------------------------------------------------------
     # introspection
@@ -127,29 +120,11 @@ class CSRMatrix:
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def astype(self, dtype) -> "_sp.csr_matrix":
-        """This matrix as a scipy CSR in ``dtype`` (cached, shared)."""
-        dtype = np.dtype(dtype)
-        if dtype == self.matrix.dtype:
-            return self.matrix
-        cached = self._casts.get(dtype.str)
-        if cached is None:
-            cached = self.matrix.astype(dtype)
-            self._casts[dtype.str] = cached
-        return cached
-
-    def transpose(self, dtype=None) -> "_sp.csr_matrix":
-        """The CSR transpose in ``dtype`` (default: own dtype; cached)."""
-        dtype = np.dtype(self.matrix.dtype if dtype is None else dtype)
-        cached = self._transposes.get(dtype.str)
-        if cached is None:
-            base = self._transposes.get(self.matrix.dtype.str)
-            if base is None:
-                base = self.matrix.T.tocsr()
-                self._transposes[self.matrix.dtype.str] = base
-            cached = base if dtype == base.dtype else base.astype(dtype)
-            self._transposes[dtype.str] = cached
-        return cached
+    def transpose(self) -> "_sp.csr_matrix":
+        """The CSR transpose (cached)."""
+        if self._transpose is None:
+            self._transpose = self.matrix.T.tocsr()
+        return self._transpose
 
     @property
     def T(self):
@@ -174,14 +149,14 @@ def csr_matmul(
     """
     x = Tensor.ensure(x)
     x_data = x.data
-    mat = a.astype(x_data.dtype)
+    mat = a.matrix
     out = None
     if workspace is not None and x_data.ndim == 2:
         out = workspace.buffer(slot, (mat.shape[0], x_data.shape[1]), x_data.dtype)
     data = kernels.spmm(mat, x_data, out=out)
 
     def backward(grad: np.ndarray) -> None:
-        a_t = a.transpose(grad.dtype)
+        a_t = a.transpose()
         grad_out = None
         if workspace is not None and grad.ndim == 2 and x._op != "leaf":
             grad_out = workspace.buffer(
@@ -264,7 +239,7 @@ def gcn_layer(
     """
     x = Tensor.ensure(x)
     support = x.data @ weight.data
-    mat = a.astype(support.dtype)
+    mat = a.matrix
     out = None
     if workspace is not None:
         out = workspace.buffer(slot, (mat.shape[0], support.shape[1]), support.dtype)
@@ -276,7 +251,7 @@ def gcn_layer(
     def backward(grad: np.ndarray) -> None:
         g = grad * mask
         g *= h > 0.0
-        a_t = a.transpose(g.dtype)
+        a_t = a.transpose()
         grad_support_out = None
         if workspace is not None:
             grad_support_out = workspace.buffer(

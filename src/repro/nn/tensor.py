@@ -18,8 +18,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.nn.dtype import get_compute_dtype
-
 __all__ = ["Tensor", "no_grad"]
 
 # Global switch consulted when building the graph.  Inside ``no_grad()``
@@ -59,8 +57,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _as_array(value) -> np.ndarray:
-    array = np.asarray(value, dtype=get_compute_dtype())
-    return array
+    return np.asarray(value, dtype=np.float64)
 
 
 class Tensor:
@@ -69,9 +66,7 @@ class Tensor:
     Parameters
     ----------
     data:
-        Anything ``numpy.asarray`` accepts; stored in the compute dtype
-        (:func:`repro.nn.dtype.get_compute_dtype` — float64 unless a
-        ``compute_dtype`` context says otherwise).
+        Anything ``numpy.asarray`` accepts; stored as float64.
     requires_grad:
         Whether gradients should be accumulated into ``self.grad``.
     """

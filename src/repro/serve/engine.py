@@ -170,7 +170,6 @@ class InferenceEngine:
         default_explainer: str = "CFGExplainer",
         batch_size: int = 64,
         step_size: int = 10,
-        compute_dtype=None,
     ):
         if default_explainer not in explainers:
             raise ValueError(
@@ -196,12 +195,6 @@ class InferenceEngine:
         self.default_explainer = default_explainer
         self.batch_size = batch_size
         self.step_size = step_size
-        #: Optional kernel compute dtype for the classification path
-        #: (``None`` keeps the process default, float64).  float32
-        #: halves the memory traffic of the batched forward at the
-        #: tolerance documented in :mod:`repro.nn.dtype`; explainers
-        #: always run in the reference dtype.
-        self.compute_dtype = compute_dtype
 
     @classmethod
     def from_artifacts(cls, artifacts, explainer: str = "CFGExplainer"):
@@ -291,18 +284,9 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def classify(self, requests: Sequence[PreparedRequest]) -> np.ndarray:
         """Class probabilities ``[len(requests), C]`` via one batched pass."""
-        from repro.nn import compute_dtype as _compute_dtype_ctx
-
-        graphs = [request.graph for request in requests]
-        if self.compute_dtype is not None:
-            with _compute_dtype_ctx(self.compute_dtype):
-                probabilities = self.gnn.predict_proba_batch(
-                    graphs, batch_size=self.batch_size
-                )
-        else:
-            probabilities = self.gnn.predict_proba_batch(
-                graphs, batch_size=self.batch_size
-            )
+        probabilities = self.gnn.predict_proba_batch(
+            [request.graph for request in requests], batch_size=self.batch_size
+        )
         # Surface kernel NaN/Inf as a typed NumericalError here, where
         # the resilience layer can retry or degrade, instead of letting
         # non-finite probabilities poison argmax/cache downstream.

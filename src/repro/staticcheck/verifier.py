@@ -294,9 +294,15 @@ def verify_cfg(
     if program is not None and cfg.blocks:
         findings.extend(_check_leaders(cfg, program))
     findings.extend(_check_edges(cfg))
-    if dataflow and cfg.blocks:
+    # The dataflow passes index blocks by edge endpoint; a dangling edge
+    # is already an ERROR, so they are skipped rather than run on it.
+    if dataflow and cfg.blocks and not _has_endpoint_finding(findings):
         findings.extend(_check_dataflow(cfg))
     return findings
+
+
+def _has_endpoint_finding(findings: list[Finding]) -> bool:
+    return any(f.kind is FindingKind.EDGE_ENDPOINT for f in findings)
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +321,13 @@ def verify_acfg(
     :class:`repro.acfg.FeatureScaler`, as the corpus gate does.
     """
     findings = verify_cfg(cfg, program, dataflow=dataflow)
+    if not _has_endpoint_finding(findings):  # else no adjacency to rebuild
+        findings.extend(_check_acfg(acfg, cfg))
+    return findings
 
+
+def _check_acfg(acfg: ACFG, cfg: CFG) -> list[Finding]:
+    findings: list[Finding] = []
     n_real = acfg.n_real
     if n_real != cfg.node_count:
         findings.append(
@@ -407,7 +419,12 @@ def verify_acfg(
 
 
 def verify_sample(sample: LabeledSample, *, dataflow: bool = True) -> list[Finding]:
-    """Verify one corpus sample: program ↔ CFG ↔ freshly derived ACFG."""
-    return verify_acfg(
-        from_sample(sample), sample.cfg, sample.program, dataflow=dataflow
-    )
+    """Verify one corpus sample: program ↔ CFG ↔ freshly derived ACFG.
+
+    A CFG with a dangling edge has no ACFG to derive; its CFG findings
+    (the ``EDGE_ENDPOINT`` ERRORs included) are returned as they are.
+    """
+    findings = verify_cfg(sample.cfg, sample.program, dataflow=dataflow)
+    if not _has_endpoint_finding(findings):
+        findings.extend(_check_acfg(from_sample(sample), sample.cfg))
+    return findings

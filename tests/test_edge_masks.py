@@ -270,9 +270,8 @@ class TestEdgeSpmm:
 # ----------------------------------------------------------------------
 # the shared forward and the renormalized Â
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("pooling", ["max", "sum", "mean"])
-def test_weighted_edge_proba_at_unit_mask_equals_forward_acfg(pooling, small_dataset):
-    model = GCNClassifier(hidden=(16, 8), pooling=pooling, rng=np.random.default_rng(3))
+def test_weighted_edge_proba_at_unit_mask_equals_forward_acfg(small_dataset):
+    model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(3))
     _, test_set = small_dataset
     for graph in list(test_set.graphs[:3]) + edge_case_graphs():
         edges = self_looped_edges(graph.adjacency, graph.n_real)

@@ -26,6 +26,14 @@ from repro.harden import (
 from repro.harden.sanitize import _components
 from repro.malgen import generate_corpus
 from repro.nn import Adam, NumericalError, Tensor, clip_grad_norm, grad_norm
+from repro.staticcheck import (
+    CorpusVerificationError,
+    FindingKind,
+    Severity,
+    verify_cfg,
+    verify_corpus,
+    verify_sample,
+)
 from tests.test_admit_equivalence import hostile_samples, labeled
 
 
@@ -189,7 +197,7 @@ class TestHostileInjection:
 
     def test_construction_error_is_quarantined(self):
         sample = hostile_sample("dangling_edge")
-        with pytest.raises((IndexError, ValueError)):
+        with pytest.raises(ValueError):
             from_sample(sample)
         dataset_corpus = generate_corpus(2, seed=0, families=("Bagle",))
         dataset = ACFGDataset.from_corpus(
@@ -238,6 +246,28 @@ class TestDanglingEdges:
                 [two_block_sample(edge)],
                 IngestPolicy(on_bad_input="raise", verify="strict"),
             )
+
+    def test_verify_cfg_with_dataflow_reports_the_endpoint(self, edge):
+        sample = two_block_sample(edge)
+        findings = verify_cfg(sample.cfg, sample.program)
+        assert FindingKind.EDGE_ENDPOINT in {f.kind for f in findings}
+
+    def test_verify_sample_reports_the_endpoint_without_an_acfg(self, edge):
+        findings = verify_sample(two_block_sample(edge))
+        endpoint = [f for f in findings if f.kind is FindingKind.EDGE_ENDPOINT]
+        assert [f.severity for f in endpoint] == [Severity.ERROR]
+
+    def test_strict_verify_corpus_raises_verification_error(self, edge):
+        with pytest.raises(CorpusVerificationError, match="edge_endpoint"):
+            verify_corpus([two_block_sample(edge)], mode="strict")
+
+    def test_from_sample_names_the_edge_and_block_count(self, edge):
+        with pytest.raises(ValueError, match=rf"\({edge[0]} -> {edge[1]}\).*2-block"):
+            from_sample(two_block_sample(edge))
+
+    def test_trusting_ingest_sample_raises_value_error(self, edge):
+        with pytest.raises(ValueError, match="2-block"):
+            ingest_sample(two_block_sample(edge), IngestPolicy(verify="strict"))
 
 
 def component_count(n, edges):

@@ -5,12 +5,11 @@ one graph in block-diagonal sparse passes whose Â is derived from the
 graph's edge list.  The oracle below is the dense per-call body it
 replaced: zero the removed rows/columns of A and X, normalize the dense
 matrix, run the per-graph forward.  Contract: max |Δp| ≤ 1e-12 and the
-same argmax, for every pooling mode, chunk layout and edge case, and no
+same argmax, for every chunk layout and edge case, and no
 traffic through the model's Â cache.
 """
 
 import numpy as np
-import pytest
 
 import repro.gnn.batch as batch_module
 from repro.acfg import ACFG
@@ -69,10 +68,9 @@ def assert_matches_oracle(model, graph, kept_sets):
         assert np.argmax(row) == np.argmax(reference)
 
 
-@pytest.mark.parametrize("pooling", ["max", "sum", "mean"])
-def test_random_keep_masks_match_dense_oracle(pooling):
+def test_random_keep_masks_match_dense_oracle():
     rng = np.random.default_rng(7)
-    model = GCNClassifier(hidden=(16, 8), pooling=pooling, rng=np.random.default_rng(1))
+    model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(1))
     for _ in range(6):
         graph = random_graph(rng, int(rng.integers(2, 40)), int(rng.integers(0, 12)))
         kept_sets = [
@@ -82,10 +80,9 @@ def test_random_keep_masks_match_dense_oracle(pooling):
         assert_matches_oracle(model, graph, kept_sets)
 
 
-@pytest.mark.parametrize("pooling", ["max", "sum", "mean"])
-def test_edge_cases_match_dense_oracle(pooling):
+def test_edge_cases_match_dense_oracle():
     rng = np.random.default_rng(3)
-    model = GCNClassifier(hidden=(16, 8), pooling=pooling, rng=np.random.default_rng(2))
+    model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(2))
     graph = random_graph(rng, 20, 6, self_loops=True)
     assert np.any(np.diag(graph.adjacency)), "fixture must carry self-loops"
     assert np.any(graph.adjacency == 2.0), "fixture must carry call edges"
@@ -101,7 +98,7 @@ def test_edge_cases_match_dense_oracle(pooling):
 
 
 def test_all_padding_graph_matches_dense_oracle():
-    model = GCNClassifier(hidden=(8, 4), pooling="mean", rng=np.random.default_rng(4))
+    model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(4))
     for conv in model.convs:
         conv.bias.data[...] = 0.1  # a bias leak from an active padding row shows
     graph = ACFG(np.zeros((5, 5)), np.zeros((5, 12)), label=0, family="Bagle", n_real=0)
