@@ -1,8 +1,9 @@
 """Throughput of the batched block-diagonal engine vs the per-graph loop.
 
-Times identical training/inference workloads under ``mode="batched"``
-(one CSR forward/backward per mini-batch) and ``mode="per_graph"`` (the
-seed's dense loop), asserts the paper-pipeline numbers agree, and writes
+Times identical training/inference workloads under ``train_gnn`` (one
+CSR forward/backward per mini-batch) and the per-graph dense loop the
+tests keep as its oracle (``tests/reference_training.py``), asserts the
+two trace the same losses, and writes
 ``BENCH_batching.json`` with graphs/sec for each path (to the repo root
 or ``$REPRO_BENCH_DIR``; ``repro.tools.bench_compare`` gates the
 numbers against ``benchmarks/baselines/``).
@@ -28,6 +29,7 @@ from conftest import bench_artifact_path
 from repro.acfg import ACFGDataset, FeatureScaler, train_test_split
 from repro.gnn import GCNClassifier, evaluate_accuracy, train_gnn
 from repro.malgen import generate_corpus
+from tests.reference_training import train_per_graph
 
 PROFILES = {
     "default": {
@@ -79,19 +81,15 @@ def _fresh_model() -> GCNClassifier:
     return GCNClassifier(hidden=(32, 24, 16), rng=np.random.default_rng(0))
 
 
-def _time_training(train_set, mode: str) -> tuple[float, list[float]]:
+def _time_training(train_set, batched: bool) -> tuple[float, list[float]]:
     model = _fresh_model()
+    schedule = dict(epochs=EPOCHS, batch_size=BATCH_SIZE, lr=0.005, seed=0)
     start = time.perf_counter()
-    history = train_gnn(
-        model,
-        train_set,
-        epochs=EPOCHS,
-        batch_size=BATCH_SIZE,
-        lr=0.005,
-        seed=0,
-        mode=mode,
-    )
-    return time.perf_counter() - start, history.losses
+    if batched:
+        losses = train_gnn(model, train_set, **schedule).losses
+    else:
+        losses = train_per_graph(model, train_set, **schedule)
+    return time.perf_counter() - start, losses
 
 
 def _time_inference(model, test_set, batched: bool) -> tuple[float, np.ndarray]:
@@ -106,8 +104,8 @@ def _time_inference(model, test_set, batched: bool) -> tuple[float, np.ndarray]:
 def test_bench_batched_vs_per_graph(splits):
     train_set, test_set = splits
 
-    per_graph_s, per_graph_losses = _time_training(train_set, "per_graph")
-    batched_s, batched_losses = _time_training(train_set, "batched")
+    per_graph_s, per_graph_losses = _time_training(train_set, batched=False)
+    batched_s, batched_losses = _time_training(train_set, batched=True)
 
     # Same seeds, same math: the two engines must trace the same descent.
     np.testing.assert_allclose(batched_losses, per_graph_losses, atol=1e-8)

@@ -51,10 +51,7 @@ def test_bench_paper_scale_batched_engine():
 
     model = GCNClassifier(hidden=(32, 24, 16), rng=np.random.default_rng(0))
     start = time.perf_counter()
-    train_gnn(
-        model, dataset, epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0,
-        mode="batched",
-    )
+    train_gnn(model, dataset, epochs=EPOCHS, batch_size=BATCH_SIZE, seed=0)
     train_s = time.perf_counter() - start
     graphs_trained = len(graphs) * EPOCHS
 

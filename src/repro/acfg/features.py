@@ -58,14 +58,21 @@ def cfg_feature_matrix(cfg: CFG) -> np.ndarray:
     """The paper's ``X ∈ R^{N×d}``: one Table I row per block, in one pass.
 
     Each distinct operand string is classified as a numeric or string
-    constant once per call, however many instructions repeat it.
+    constant once per call, however many instructions repeat it.  An
+    edge with an endpoint outside ``[0, n)`` raises ``ValueError``, as
+    :meth:`CFG.adjacency_matrix` does.
     """
-    matrix = np.zeros((cfg.node_count, NUM_FEATURES), dtype=np.float64)
+    n = cfg.node_count
+    matrix = np.zeros((n, NUM_FEATURES), dtype=np.float64)
     # "# Offspring (The degree)": number of distinct successor blocks,
     # matching the nonzero entries of the adjacency row.
-    out_degrees = np.zeros(cfg.node_count, dtype=int)
+    out_degrees = np.zeros(n, dtype=int)
     successor_sets: dict[int, set[int]] = {}
     for source, target, _ in cfg.edges:
+        if not (0 <= source < n and 0 <= target < n):
+            raise ValueError(
+                f"edge ({source} -> {target}) leaves the {n}-block graph"
+            )
         successor_sets.setdefault(source, set()).add(target)
     for source, targets in successor_sets.items():
         out_degrees[source] = len(targets)

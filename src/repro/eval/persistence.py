@@ -176,6 +176,27 @@ def validate_config_compatible(
         )
 
 
+def _read_config(path: Path) -> ExperimentConfig:
+    """The :class:`ExperimentConfig` stored as JSON at ``path``.
+
+    A stored value that is not a JSON object, or that names a field the
+    config does not have (one a later version retired, say), raises the
+    same ``ValueError`` as an incompatible config, naming the field.
+    """
+    stored = json.loads(path.read_text())
+    if not isinstance(stored, dict):
+        raise ValueError(
+            f"stored config {path} is a JSON {type(stored).__name__}, not an object"
+        )
+    unknown = sorted(set(stored) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(
+            "checkpoint was produced by an incompatible config — unknown "
+            f"field(s) {', '.join(unknown)} in {path}"
+        )
+    return ExperimentConfig(**stored)
+
+
 def validate_scale_vector(scale: np.ndarray, expected_shape: tuple[int, ...]) -> None:
     """Enforce :meth:`FeatureScaler.fit`'s invariants on a stored scale.
 
@@ -243,10 +264,9 @@ def load_models_into(
     directory = Path(directory)
     _read_manifest(directory)
 
-    stored_config = ExperimentConfig(
-        **json.loads((directory / "config.json").read_text())
+    validate_config_compatible(
+        _read_config(directory / "config.json"), artifacts.config
     )
-    validate_config_compatible(stored_config, artifacts.config)
 
     scale = np.load(directory / "scaler.npy")
     expected = (
@@ -286,9 +306,7 @@ def load_models_into(
     # them so explainers and experiments read post-restore values.  (Â
     # depends only on graph content, but it is cheap to recompute and a
     # cleared cache can never serve a stale entry.)
-    a_hat_cache = getattr(artifacts.gnn, "a_hat_cache", None)
-    if a_hat_cache is not None:
-        a_hat_cache.clear()
+    artifacts.gnn.a_hat_cache.clear()
     if artifacts.embedding_cache is not None:
         artifacts.embedding_cache.clear()
         batch = artifacts.config.eval_batch_size
@@ -330,8 +348,7 @@ class StageStore:
         """Pin the run directory to ``config`` (or validate against it)."""
         path = self.run_dir / "config.json"
         if path.is_file():
-            stored = ExperimentConfig(**json.loads(path.read_text()))
-            validate_config_compatible(stored, config)
+            validate_config_compatible(_read_config(path), config)
         else:
             self.run_dir.mkdir(parents=True, exist_ok=True)
             atomic_write_bytes(path, json.dumps(asdict(config)).encode())

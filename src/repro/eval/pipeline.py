@@ -32,7 +32,6 @@ from repro.core import CFGExplainer, CFGExplainerModel, train_cfgexplainer
 from repro.explain.base import Explainer
 from repro.explain.counterfactual import CFExplainer
 from repro.gnn import (
-    TRAINING_MODES,
     EmbeddingCache,
     GCNClassifier,
     evaluate_accuracy,
@@ -91,10 +90,6 @@ class ExperimentConfig:
     gnn_batch_size: int = 16
     gnn_lr: float = 0.005
 
-    #: Execution engine: "batched" packs each mini-batch into one
-    #: block-diagonal sparse pass (fast path), "per_graph" runs the
-    #: reference one-graph-at-a-time loop.  Both compute the same loss.
-    batch_mode: str = "batched"
     #: Graphs per batched inference pass (evaluation, embedding cache).
     eval_batch_size: int = 64
 
@@ -166,11 +161,6 @@ class ExperimentConfig:
             )
         if self.samples_per_family <= 1:
             raise ValueError("need at least 2 samples per family to split")
-        if self.batch_mode not in TRAINING_MODES:
-            raise ValueError(
-                f"batch_mode must be one of {TRAINING_MODES}, got "
-                f"{self.batch_mode!r}"
-            )
         if self.eval_batch_size <= 0:
             raise ValueError("eval_batch_size must be positive")
         if self.verify_mode not in (None, "strict", "warn"):
@@ -527,7 +517,6 @@ def run_pipeline(
                 batch_size=config.gnn_batch_size,
                 lr=config.gnn_lr,
                 seed=rng_seed,
-                mode=config.batch_mode,
                 verbose=verbose,
             )
             if store is not None:

@@ -8,15 +8,9 @@ per-dimension max of all node embeddings.
 
 from repro.gnn.batch import BatchPacker, GraphBatch, iter_batches
 from repro.gnn.cache import AHatCache, CachedForward, EmbeddingCache
-from repro.gnn.dgcnn import DGCNNClassifier
 from repro.gnn.model import GCNClassifier
 from repro.gnn.normalize import normalized_adjacency
-from repro.gnn.train import (
-    TRAINING_MODES,
-    TrainingHistory,
-    evaluate_accuracy,
-    train_gnn,
-)
+from repro.gnn.train import TrainingHistory, evaluate_accuracy, train_gnn
 
 __all__ = [
     "normalized_adjacency",
@@ -27,9 +21,7 @@ __all__ = [
     "GraphBatch",
     "iter_batches",
     "GCNClassifier",
-    "DGCNNClassifier",
     "train_gnn",
     "evaluate_accuracy",
     "TrainingHistory",
-    "TRAINING_MODES",
 ]

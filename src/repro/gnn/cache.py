@@ -201,16 +201,7 @@ class EmbeddingCache:
         def entry(z: np.ndarray, probs: np.ndarray) -> CachedForward:
             return CachedForward(z.copy(), probs.copy(), int(np.argmax(probs)))
 
-        if not hasattr(self.model, "embed_batch"):
-            # Alternative Φ implementations without the batched engine
-            # (e.g. DGCNN): one dense forward per graph.
-            for graph in graphs:
-                with no_grad():
-                    z, probs = self.model.forward_acfg(graph)
-                yield graph, entry(z.numpy(), probs.numpy().reshape(-1))
-            return
-        a_hat_cache = getattr(self.model, "a_hat_cache", None)
-        for batch in iter_batches(graphs, batch_size, a_hat_cache=a_hat_cache):
+        for batch in iter_batches(graphs, batch_size, a_hat_cache=self.model.a_hat_cache):
             with no_grad():
                 z = self.model.embed_batch(batch)
                 probs = self.model.logits_batch(z, batch).softmax(axis=-1).numpy()

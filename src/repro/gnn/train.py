@@ -1,19 +1,11 @@
 """Training loop for the GCN classifier.
 
-Two execution modes share one optimization schedule (same shuffling,
-same per-batch mean loss, same Adam updates):
-
-* ``mode="batched"`` (default) packs every mini-batch into a
-  block-diagonal :class:`~repro.gnn.batch.GraphBatch` and runs **one**
-  forward/backward per batch — the throughput path.
-* ``mode="per_graph"`` is the seed's loop: one dense forward/backward
-  per graph, summed into the batch loss.  Kept as the reference
-  implementation and for the batching benchmark.
-
-The two modes compute the same loss (a block-diagonal Â applied to
-stacked features is per-graph GCN propagation, and the batched
-cross-entropy is the mean of the per-graph terms), so switching modes
-changes wall-clock, not math.
+Every mini-batch is packed into a block-diagonal
+:class:`~repro.gnn.batch.GraphBatch` and runs **one** forward/backward
+pass: a block-diagonal Â applied to stacked features is per-graph GCN
+propagation, and the batched cross-entropy is the mean of the
+per-graph terms.  The test suite keeps the one-dense-pass-per-graph
+loop as the oracle this schedule must reproduce.
 
 Numerical guards (``repro.nn.guards``) watch every step: a NaN/Inf
 loss or gradient raises a typed :class:`~repro.nn.NumericalError` at
@@ -38,18 +30,12 @@ from repro.nn import (
     Adam,
     NumericalError,
     clip_grad_norm,
-    cross_entropy,
     cross_entropy_batch,
     grad_norm,
 )
 from repro.obs import add_counter, span as obs_span
 
 __all__ = ["TrainingHistory", "train_gnn", "evaluate_accuracy"]
-
-#: Recognized values of ``train_gnn``'s ``mode`` / the pipeline's
-#: ``batch_mode`` knob.
-TRAINING_MODES = ("batched", "per_graph")
-
 
 @dataclass
 class TrainingHistory:
@@ -78,7 +64,6 @@ def train_gnn(
     lr: float = 0.005,
     seed: int = 0,
     eval_set: ACFGDataset | None = None,
-    mode: str = "batched",
     verbose: bool = False,
     guard: bool = True,
     max_grad_norm: float | None = None,
@@ -102,24 +87,14 @@ def train_gnn(
     """
     if epochs <= 0 or batch_size <= 0:
         raise ValueError("epochs and batch_size must be positive")
-    if mode not in TRAINING_MODES:
-        raise ValueError(f"mode must be one of {TRAINING_MODES}, got {mode!r}")
     if loss_spike_factor is not None and loss_spike_factor <= 1.0:
         raise ValueError("loss_spike_factor must be > 1 (relative spike)")
     if lr_backoff <= 0 or lr_backoff >= 1:
         raise ValueError("lr_backoff must be in (0, 1)")
-    if not hasattr(model, "forward_batch"):
-        # Alternative Φ implementations (e.g. DGCNN) that predate the
-        # batched engine fall back to the reference loop.
-        mode = "per_graph"
     rng = np.random.default_rng(seed)
     optimizer = Adam(model.parameters(), lr=lr)
     history = TrainingHistory()
-    packer = (
-        BatchPacker(train_set, a_hat_cache=model.a_hat_cache)
-        if mode == "batched"
-        else None
-    )
+    packer = BatchPacker(train_set, a_hat_cache=model.a_hat_cache)
 
     # Last epoch snapshot known to be numerically healthy; epoch -1 is
     # the freshly initialized model, so recovery is possible even when
@@ -148,24 +123,16 @@ def train_gnn(
                 f"lr backed off to {optimizer.lr:.2e}"
             )
 
-    with obs_span(f"train.gnn.{mode}") as train_span:
+    with obs_span("train.gnn.batched") as train_span:
         for epoch in range(epochs):
             order = rng.permutation(len(train_set))
             epoch_loss = 0.0
             try:
                 with obs_span("train.epoch") as epoch_span:
-                    if packer is not None:
-                        for batch in packer.batches(batch_size, order=order):
-                            epoch_loss += _batched_step(
-                                model, optimizer, batch, guard, max_grad_norm
-                            )
-                    else:
-                        for start in range(0, len(order), batch_size):
-                            indices = order[start : start + batch_size]
-                            epoch_loss += _per_graph_step(
-                                model, optimizer, train_set, indices,
-                                guard, max_grad_norm,
-                            )
+                    for batch in packer.batches(batch_size, order=order):
+                        epoch_loss += _batched_step(
+                            model, optimizer, batch, guard, max_grad_norm
+                        )
                     epoch_span.add("train.graphs", len(order))
             except NumericalError as error:
                 recover(epoch, error)
@@ -224,45 +191,16 @@ def _batched_step(
     return value * batch.num_graphs
 
 
-def _per_graph_step(
-    model: GCNClassifier,
-    optimizer: Adam,
-    train_set: ACFGDataset,
-    indices: np.ndarray,
-    guard: bool = True,
-    max_grad_norm: float | None = None,
-) -> float:
-    """The seed's reference loop: one dense pass per graph."""
-    optimizer.zero_grad()
-    batch_loss = None
-    for index in indices:
-        graph = train_set[int(index)]
-        z, _ = model.forward_acfg(graph)
-        loss = cross_entropy(model.logits(z), graph.label)
-        batch_loss = loss if batch_loss is None else batch_loss + loss
-    batch_loss = batch_loss * (1.0 / len(indices))
-    value = batch_loss.item()
-    if guard and not np.isfinite(value):
-        raise NumericalError("loss", f"per-graph step produced {value!r}")
-    batch_loss.backward()
-    _guarded_update(optimizer, guard, max_grad_norm)
-    return value * len(indices)
-
-
 def evaluate_accuracy(
     model: GCNClassifier, dataset: ACFGDataset, batch_size: int = 64
 ) -> float:
     """Fraction of graphs whose argmax prediction matches the label.
 
     Evaluates the whole split in a handful of batched passes instead of
-    one dense forward per graph (models without the batched engine fall
-    back to per-graph prediction).
+    one dense forward per graph.
     """
     with obs_span("eval.accuracy") as eval_span:
-        if hasattr(model, "predict_batch"):
-            predictions = model.predict_batch(list(dataset), batch_size=batch_size)
-        else:
-            predictions = np.array([model.predict(g) for g in dataset], dtype=int)
+        predictions = model.predict_batch(list(dataset), batch_size=batch_size)
         labels = np.array([g.label for g in dataset], dtype=int)
         eval_span.add("eval.graphs", len(labels))
         return float((predictions == labels).mean())

@@ -41,6 +41,14 @@ def labeled(program, cfg=None):
     )
 
 
+def two_block_sample(edge):
+    """A 2-block CFG whose only edge is ``edge``."""
+    program = parse_program("mov eax, 1\njmp out\nout:\nret", name=f"edge{edge}")
+    cfg = build_cfg(program)
+    assert cfg.node_count == 2
+    return labeled(program, CFG(cfg.blocks, [(*edge, EdgeKind.JUMP)], cfg.name))
+
+
 def hostile_samples():
     """Every hostile kind plus every parseable file of the hostile corpus."""
     samples = [hostile_sample(kind) for kind in sorted(HOSTILE_KINDS)]
@@ -204,8 +212,20 @@ def test_feature_matrix_matches_reference_on_default_corpus(default_corpus):
 
 
 def test_feature_matrix_matches_reference_on_hostile_corpus():
-    for sample in hostile_samples():
-        assert_same_features(sample.cfg)
+    # Edges that leave a 2-block graph at either end, as source or target.
+    edges = [(-1, 1), (2, 0), (0, 2)]
+    dangling = 0
+    for sample in hostile_samples() + [two_block_sample(e) for e in edges]:
+        cfg = sample.cfg
+        n = cfg.node_count
+        if any(not 0 <= v < n for edge in cfg.edges for v in edge[:2]):
+            # The reference indexes raw endpoints; the matrix rejects them.
+            with pytest.raises(ValueError, match=f"leaves the {n}-block graph"):
+                cfg_feature_matrix(cfg)
+            dangling += 1
+        else:
+            assert_same_features(cfg)
+    assert dangling > len(edges)  # the hostile corpus holds one more
 
 
 def test_feature_matrix_of_empty_cfg():

@@ -10,18 +10,18 @@ Contract: ``node_order``, ``node_scores``, every level's ``kept_nodes``
 and ``predicted_class`` are ``np.array_equal`` — no tolerance — with
 and without an embedding cache, on padded and unpadded graphs and the
 edge cases (self-jump blocks, weight-2 call edges, edgeless, single
-node, disconnected), without feature masking, and for a DGCNN.
+node, disconnected) and without feature masking.
 """
 
 import numpy as np
 import pytest
 
 from repro.acfg import ACFG
-from repro.core import CFGExplainer, CFGExplainerModel, interpret
+from repro.core import CFGExplainer, interpret
 from repro.core.interpret import rung_a_hat
 from repro.explain.base import level_fractions
 from repro.explain.explanation import kept_count
-from repro.gnn import DGCNNClassifier, EmbeddingCache
+from repro.gnn import EmbeddingCache
 from repro.gnn.normalize import normalized_adjacency_csr, self_looped_edges
 from repro.nn import Tensor, no_grad
 from repro.obs import tracing
@@ -214,18 +214,6 @@ class TestOracle:
             assert_matches_oracle(
                 trained_theta, trained_gnn, graph, mask_features=False
             )
-
-    def test_dgcnn(self, small_dataset):
-        _, test_set = small_dataset
-        model = DGCNNClassifier(
-            conv_channels=(8, 8, 4), sort_k=4, rng=np.random.default_rng(0)
-        )
-        theta = CFGExplainerModel(
-            model.embedding_size, 12, rng=np.random.default_rng(1)
-        )
-        for graph in [*test_set.graphs[:3], EDGE_CASES["self_jumps"]()]:
-            assert_matches_oracle(theta, model, graph)
-            assert_matches_oracle(theta, model, graph, cache=EmbeddingCache(model))
 
     def test_snapshots_are_subgraph_adjacency(
         self, trained_gnn, trained_theta, small_dataset

@@ -112,6 +112,29 @@ class TestPersistence:
         with pytest.raises(ValueError, match="samples_per_family"):
             load_models_into(fresh, tmp_path / "m")
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # A run directory written while the config had a
+            # ``batch_mode`` field.
+            (lambda stored: {**stored, "batch_mode": "batched"}, "batch_mode"),
+            (lambda stored: list(stored), "JSON list"),
+        ],
+        ids=["retired_field", "json_list"],
+    )
+    def test_undecodable_stored_config_rejected_before_mutation(
+        self, tiny_artifacts, tmp_path, edit, message
+    ):
+        save_models(tiny_artifacts, tmp_path / "m")
+        path = tmp_path / "m" / "config.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        fresh = build_untrained_artifacts(TINY)
+        before = [p.data.copy() for p in fresh.gnn.parameters()]
+        with pytest.raises(ValueError, match=message):
+            load_models_into(fresh, tmp_path / "m")
+        for param, prior in zip(fresh.gnn.parameters(), before):
+            np.testing.assert_array_equal(param.data, prior)
+
     def test_execution_fields_may_differ(self, tiny_artifacts, tmp_path):
         save_models(tiny_artifacts, tmp_path / "m")
         from dataclasses import replace

@@ -20,6 +20,7 @@ from repro.gnn import (
     train_gnn,
 )
 from repro.nn import Tensor, cross_entropy, cross_entropy_batch, no_grad
+from tests.reference_training import train_per_graph
 
 TOLERANCE = 1e-8
 
@@ -114,28 +115,17 @@ class TestBatchedForwardEquivalence:
             np.testing.assert_allclose(pa.grad, pb.grad, atol=TOLERANCE)
 
     def test_training_histories_identical_across_modes(self, mixed_batch_graphs):
-        """Same seeds, same losses: mode switches wall-clock, not math."""
+        """Same seeds, same losses as the per-graph loop: batching
+        changes wall-clock, not math."""
         from repro.acfg.dataset import ACFGDataset
 
         graphs = [g.padded(12) for g in mixed_batch_graphs]
         dataset = ACFGDataset(graphs)
-        histories = {}
-        for mode in ("batched", "per_graph"):
-            model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(4))
-            histories[mode] = train_gnn(
-                model, dataset, epochs=3, batch_size=2, seed=0, mode=mode
-            ).losses
-        np.testing.assert_allclose(
-            histories["batched"], histories["per_graph"], atol=TOLERANCE
-        )
-
-    def test_rejects_unknown_mode(self, mixed_batch_graphs):
-        from repro.acfg.dataset import ACFGDataset
-
-        dataset = ACFGDataset([g.padded(12) for g in mixed_batch_graphs])
-        model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="mode"):
-            train_gnn(model, dataset, epochs=1, mode="vectorized")
+        model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(4))
+        batched = train_gnn(model, dataset, epochs=3, batch_size=2, seed=0).losses
+        model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(4))
+        per_graph = train_per_graph(model, dataset, epochs=3, batch_size=2, seed=0)
+        np.testing.assert_allclose(batched, per_graph, atol=TOLERANCE)
 
 
 class TestGraphBatchStructure:

@@ -9,8 +9,6 @@ import pytest
 from repro.acfg import ACFGDataset, FeatureScaler
 from repro.acfg.graph import ACFG, from_sample
 from repro.acfg.ingest import IngestPolicy, ingest_corpus, ingest_sample
-from repro.disasm import build_cfg, parse_program
-from repro.disasm.cfg import CFG, EdgeKind
 from repro.gnn import GCNClassifier, train_gnn
 from repro.harden import (
     FLAG_REASONS,
@@ -34,7 +32,7 @@ from repro.staticcheck import (
     verify_corpus,
     verify_sample,
 )
-from tests.test_admit_equivalence import hostile_samples, labeled
+from tests.test_admit_equivalence import hostile_samples, two_block_sample
 
 
 def clean_graph(n=6, n_real=4):
@@ -205,14 +203,6 @@ class TestHostileInjection:
         )
         reasons = dataset.quarantine.by_reason()
         assert reasons.get("construction_error") == 1
-
-
-def two_block_sample(edge):
-    """A 2-block CFG whose only edge is ``edge``."""
-    program = parse_program("mov eax, 1\njmp out\nout:\nret", name=f"edge{edge}")
-    cfg = build_cfg(program)
-    assert cfg.node_count == 2
-    return labeled(program, CFG(cfg.blocks, [(*edge, EdgeKind.JUMP)], cfg.name))
 
 
 @pytest.mark.parametrize("edge", [(0, 99), (0, -1), (-1, 1), (2, 0)])

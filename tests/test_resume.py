@@ -1,11 +1,13 @@
 """Tests for stage-level checkpoint/resume of run_pipeline."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from repro.eval import ExperimentConfig, run_pipeline
+from repro.eval.persistence import StageStore
 from repro.eval.pipeline import PIPELINE_STAGES, PipelineInterrupted
 from repro.obs import metrics_registry
 
@@ -89,6 +91,23 @@ class TestStageResume:
             run_pipeline(TINY, resume_from=run_dir, stop_after="corpus")
         with pytest.raises(ValueError, match="incompatible"):
             run_pipeline(replace(TINY, seed=1), resume_from=run_dir)
+
+    @pytest.mark.parametrize(
+        "stored, message",
+        [
+            # A run directory written while the config had a
+            # ``batch_mode`` field.
+            ({**asdict(TINY), "batch_mode": "batched"}, "batch_mode"),
+            (list(asdict(TINY)), "JSON list"),
+        ],
+        ids=["retired_field", "json_list"],
+    )
+    def test_undecodable_stored_config_rejected(self, tmp_path, stored, message):
+        store = StageStore(tmp_path / "run")
+        store.run_dir.mkdir()
+        (store.run_dir / "config.json").write_text(json.dumps(stored))
+        with pytest.raises(ValueError, match=message):
+            store.bind_config(TINY)
 
     def test_execution_knobs_may_change_between_runs(self, tmp_path):
         run_dir = tmp_path / "run"
