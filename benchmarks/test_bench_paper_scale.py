@@ -24,6 +24,7 @@ from conftest import bench_artifact_path
 from repro.acfg import ACFGDataset, FeatureScaler
 from repro.gnn import GCNClassifier, train_gnn
 from repro.malgen import generate_corpus
+from tests.reference_training import dense_predict
 
 ARTIFACT_NAME = "BENCH_paper_scale.json"
 
@@ -61,10 +62,10 @@ def test_bench_paper_scale_batched_engine():
     infer_s = time.perf_counter() - start
     graphs_inferred = len(graphs) * INFERENCE_PASSES
 
-    # Parity anchor: the dense per-graph path must agree with the
+    # Parity anchor: the dense per-graph reference must agree with the
     # batched sparse kernels on the largest graph.
     big_index = int(np.argmax([g.n_real for g in graphs]))
-    assert int(batch_preds[big_index]) == int(model.predict(graphs[big_index]))
+    assert int(batch_preds[big_index]) == dense_predict(model, graphs[big_index])
 
     report = {
         "corpus": {

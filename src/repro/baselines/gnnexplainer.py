@@ -19,16 +19,23 @@ import numpy as np
 from repro.acfg.graph import ACFG
 from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
+from repro.gnn.normalize import normalized_edges, self_looped_edges
 from repro.nn import Adam, Tensor, nll_loss_from_probs
 
 __all__ = ["GNNExplainerBaseline", "edge_mass_node_scores"]
 
 
-def edge_mass_node_scores(masked_weights: np.ndarray, n_real: int) -> np.ndarray:
-    """Node scores = total mask weight on incident edges (in + out)."""
-    incident = masked_weights.sum(axis=0) + masked_weights.sum(axis=1)
-    return incident[:n_real].copy()
+def edge_mass_node_scores(
+    rows: np.ndarray, cols: np.ndarray, weights: np.ndarray, n_real: int
+) -> np.ndarray:
+    """Node scores = total mask weight on incident edges (in + out).
+
+    ``weights[e]`` is the mask weight of the edge ``rows[e] → cols[e]``
+    between real nodes; a self-loop counts twice, as in and as out.
+    """
+    return np.bincount(cols, weights, minlength=n_real) + np.bincount(
+        rows, weights, minlength=n_real
+    )
 
 
 class GNNExplainerBaseline(RankingExplainer):
@@ -67,36 +74,33 @@ class GNNExplainerBaseline(RankingExplainer):
         self.seed = seed
 
     def rank_nodes(self, graph: ACFG) -> tuple[np.ndarray, np.ndarray]:
-        mask_probs = self.optimize_mask(graph)
-        scores = edge_mass_node_scores(mask_probs, graph.n_real)
+        rows, cols, _ = self_looped_edges(graph.adjacency, graph.n_real)
+        scores = edge_mass_node_scores(
+            rows, cols, self.optimize_mask(graph), graph.n_real
+        )
         return rank_by_score(scores), scores
 
     def optimize_mask(self, graph: ACFG) -> np.ndarray:
-        """Learn the [N, N] soft edge mask for one graph.
+        """Learn the soft edge mask for one graph.
 
-        Returns the sigmoid mask probabilities restricted to the graph's
-        (normalized) edges; entries off the edge support are zero.
-
-        The support is the nonzeros of the real-node Â, self-loops
-        included, and there is one logit per stored entry: every step
-        is a sparse forward over the real rows
+        Returns one sigmoid mask probability per stored entry of the
+        real-node Â, self-loops included, in the order of
+        :func:`repro.gnn.normalize.normalized_edges`.  Every step is a
+        sparse forward over the real rows
         (:meth:`GCNClassifier.weighted_edge_proba`).  The initial logits
         are gathered from the same ``[N, N]`` draw the dense
         parameterization used, so a seed gives the same mask.
         """
         rng = np.random.default_rng(self.seed)
-        n, n_real = graph.n, graph.n_real
-        edges = self_looped_edges(graph.adjacency, n_real)
-        rows, cols, _ = edges
-        a_hat = Tensor(
-            masked_normalized_csr(edges, np.ones((1, n_real), dtype=bool)).data
-        )
+        rows, cols, a_hat = normalized_edges(graph.adjacency, graph.n_real)
+        a_hat = Tensor(a_hat)
         target = self.model.predict(graph)
 
         # Mask logits start slightly positive: begin from (almost) the
         # full graph and let the size term prune.
         logits = Tensor(
-            rng.normal(1.0, 0.1, size=(n, n))[rows, cols], requires_grad=True
+            rng.normal(1.0, 0.1, size=(graph.n, graph.n))[rows, cols],
+            requires_grad=True,
         )
         optimizer = Adam([logits], lr=self.lr)
 
@@ -111,9 +115,7 @@ class GNNExplainerBaseline(RankingExplainer):
             loss.backward()
             optimizer.step()
 
-        final = np.zeros((n, n))
-        final[rows, cols] = 1.0 / (1.0 + np.exp(-logits.numpy()))
-        return final
+        return 1.0 / (1.0 + np.exp(-logits.numpy()))
 
     @staticmethod
     def _mask_entropy(probs: Tensor) -> Tensor:

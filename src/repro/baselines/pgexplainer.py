@@ -27,6 +27,7 @@ from repro.baselines.gnnexplainer import edge_mass_node_scores
 from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.cache import EmbeddingCache
 from repro.gnn.model import GCNClassifier
+from repro.gnn.normalize import normalized_edges
 from repro.nn import Adam, Dense, Module, Tensor, nll_loss_from_probs, no_grad
 from repro.obs import add_counter
 
@@ -62,14 +63,22 @@ class PGTrainingHistory:
 
 @dataclass(frozen=True)
 class _GraphCache:
-    """Frozen per-graph quantities reused across training epochs."""
+    """Frozen per-graph quantities reused across training epochs.
 
+    ``(rows, cols, a_hat)`` lists the real-node Â.  Stored entry *k* is
+    scaled by mask entry ``slot[k]``; self-loops stay unmasked, as in
+    the original (the explanation concerns edges between blocks), so
+    their slot is ``E``, a constant 1.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
     a_hat: np.ndarray
-    edges: np.ndarray  # [E, 2] endpoint indices where a_hat > 0
+    slot: np.ndarray
+    edges: np.ndarray  # [E, 2] endpoints of the off-diagonal entries
     edge_embeddings: np.ndarray  # [E, 2f]
-    active: np.ndarray
     target: int
-    features: np.ndarray
+    features: np.ndarray  # real rows
 
 
 class PGExplainerBaseline(RankingExplainer):
@@ -145,9 +154,9 @@ class PGExplainerBaseline(RankingExplainer):
         noise = np.log(uniform) - np.log(1.0 - uniform)
         soft_mask = ((logits + Tensor(noise)) * (1.0 / tau)).sigmoid()
 
-        masked_a_hat = self._apply_edge_mask(cache, soft_mask)
-        z = self.model.embed_normalized(
-            masked_a_hat, cache.features, cache.active
+        scale = Tensor.concatenate([soft_mask, Tensor(np.ones(1))])[cache.slot]
+        z = self.model.embed(
+            cache.rows, cache.cols, Tensor(cache.a_hat) * scale, cache.features
         )
         probs = self.model.classify(z)
         prediction_loss = nll_loss_from_probs(probs, cache.target, eps=1e-12)
@@ -159,19 +168,6 @@ class PGExplainerBaseline(RankingExplainer):
         ).mean()
         return prediction_loss + size_loss + entropy * self.entropy_weight
 
-    def _apply_edge_mask(self, cache: _GraphCache, edge_mask: Tensor) -> Tensor:
-        """Scatter per-edge mask values into the [N, N] propagation matrix.
-
-        The masked matrix holds ``a_hat[i, j] * m_e`` on edge positions
-        and the original ``a_hat`` elsewhere (self-loops stay intact).
-        """
-        n = cache.a_hat.shape[0]
-        rows, cols = cache.edges[:, 0], cache.edges[:, 1]
-        off_edges = cache.a_hat.copy()
-        off_edges[rows, cols] = 0.0
-        edge_weights = Tensor(cache.a_hat[rows, cols]) * edge_mask
-        return Tensor(off_edges) + edge_weights.scatter2d((n, n), rows, cols)
-
     # ------------------------------------------------------------------
     # explanation stage
     # ------------------------------------------------------------------
@@ -179,44 +175,38 @@ class PGExplainerBaseline(RankingExplainer):
         if not self._trained:
             raise RuntimeError("PGExplainer must be fit() before explaining")
         cache = self._cache_graph(graph)
-        n = graph.n
-        weights = np.zeros((n, n))
-        if cache.edges.shape[0] > 0:
-            with no_grad():
-                logits = self.predictor(Tensor(cache.edge_embeddings)).numpy()
-            probabilities = 1.0 / (1.0 + np.exp(-logits.reshape(-1)))
-            weights[cache.edges[:, 0], cache.edges[:, 1]] = probabilities
-        scores = edge_mass_node_scores(weights, graph.n_real)
+        with no_grad():
+            logits = self.predictor(Tensor(cache.edge_embeddings)).numpy()
+        probabilities = 1.0 / (1.0 + np.exp(-logits.reshape(-1)))
+        scores = edge_mass_node_scores(
+            cache.edges[:, 0], cache.edges[:, 1], probabilities, graph.n_real
+        )
         return rank_by_score(scores), scores
 
     # ------------------------------------------------------------------
     # shared plumbing
     # ------------------------------------------------------------------
     def _cache_graph(self, graph: ACFG) -> "_GraphCache":
-        active = np.zeros(graph.n, dtype=bool)
-        active[: graph.n_real] = True
-        a_hat = self.model.a_hat_cache.get(graph.adjacency, active)
-        # Off-diagonal support only: self-loops stay unmasked, as in the
-        # original (the explanation concerns edges between blocks).
-        support = (a_hat > 0) & ~np.eye(graph.n, dtype=bool)
-        edges = np.argwhere(support)
+        rows, cols, a_hat = normalized_edges(graph.adjacency, graph.n_real)
+        off = rows != cols
+        edges = np.stack([rows[off], cols[off]], axis=1)
+        slot = np.full(rows.size, len(edges))
+        slot[off] = np.arange(len(edges))
+        features = graph.features[: graph.n_real]
         if self.embedding_cache is not None:
             cached = self.embedding_cache.lookup(graph) or self.embedding_cache.compute(graph)
             z, target = cached.z, cached.predicted_class
         else:
             with no_grad():
-                z = self.model.embed(graph.adjacency, graph.features, active).numpy()
+                z = self.model.embed(rows, cols, a_hat, features).numpy()
             target = self.model.predict(graph)
-        edge_embeddings = (
-            np.concatenate([z[edges[:, 0]], z[edges[:, 1]]], axis=1)
-            if edges.shape[0]
-            else np.zeros((0, 2 * self.model.embedding_size))
-        )
         return _GraphCache(
+            rows=rows,
+            cols=cols,
             a_hat=a_hat,
+            slot=slot,
             edges=edges,
-            edge_embeddings=edge_embeddings,
-            active=active,
+            edge_embeddings=np.concatenate([z[edges[:, 0]], z[edges[:, 1]]], axis=1),
             target=target,
-            features=graph.features,
+            features=features,
         )

@@ -7,8 +7,8 @@ the embeddings are recomputed through the frozen Φ_e on the pruned
 graph, and the loop repeats until only ``step_size`` percent of nodes
 remain.  The removal order, reversed, is the node importance ordering
 ``V_ordered``; the subgraph ladder is its prefixes.  Pruned rungs run on
-the real rows with Â from the edge list, bit-identical to the padded
-dense re-embed (DESIGN.md, "Algorithm 2 on the edge list").
+the real rows with Â as an edge list, through the classifier's one
+single-graph forward (DESIGN.md, "Algorithm 2 on the edge list").
 """
 
 from __future__ import annotations
@@ -17,7 +17,12 @@ import numpy as np
 
 from repro.acfg.graph import ACFG
 from repro.core.model import CFGExplainerModel
-from repro.explain.base import Explainer, ladder_from_order, level_fractions
+from repro.explain.base import (
+    RANK_DECIMALS,
+    Explainer,
+    ladder_from_order,
+    level_fractions,
+)
 from repro.explain.explanation import Explanation, kept_count
 from repro.gnn.cache import EmbeddingCache
 from repro.gnn.model import GCNClassifier
@@ -28,8 +33,10 @@ from repro.obs import add_counter, span as obs_span
 __all__ = ["interpret", "CFGExplainer"]
 
 
-def rung_a_hat(edges: tuple[np.ndarray, np.ndarray, np.ndarray], keep: np.ndarray) -> np.ndarray:
-    """Dense real-node Â of the rung that keeps the real nodes ``keep``.
+def rung_a_hat(
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray], keep: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the real-node Â of the rung keeping ``keep``.
 
     Edges with a pruned endpoint are dropped; a pruned node stays active
     with a self-loop of weight 1 (its row, self-jump included, is zeroed).
@@ -39,7 +46,8 @@ def rung_a_hat(edges: tuple[np.ndarray, np.ndarray, np.ndarray], keep: np.ndarra
     alive = (keep[rows] & keep[cols]) | loop
     weights = np.where(loop & ~keep[rows], 1.0, weights)
     kept = (rows[alive], cols[alive], weights[alive])
-    return masked_normalized_csr(kept, np.ones((1, keep.size), dtype=bool)).toarray()
+    a_hat = masked_normalized_csr(kept, np.ones((1, keep.size), dtype=bool))
+    return kept[0], kept[1], a_hat.data
 
 
 def interpret(
@@ -77,16 +85,16 @@ def interpret(
     edges = self_looped_edges(graph.adjacency, n_real)
     features = np.asarray(graph.features[:n_real], dtype=np.float64).copy()
     keep = np.ones(n_real, dtype=bool)
-    active = np.ones(n_real, dtype=bool)
     cached = None if embedding_cache is None else (
         embedding_cache.lookup(graph) or embedding_cache.compute(graph)
     )
 
     def rescore() -> np.ndarray:
         with no_grad():
-            z = gnn.embed_normalized(Tensor(rung_a_hat(edges, keep)), features, active)
-        # Θ_s scores the padded rows too (zero, as Φ_e masks them): its
-        # BLAS rounding depends on the row count.
+            z = gnn.embed(*rung_a_hat(edges, keep), features)
+        # Θ_s scores Z padded back to N rows (zero, as the batched
+        # forward leaves padding): its BLAS rounding depends on the row
+        # count.
         padded = np.zeros((graph.n, z.shape[1]))
         padded[:n_real] = z.numpy()
         return explainer.node_scores(Tensor(padded), n_real)
@@ -113,9 +121,12 @@ def interpret(
             break  # the smallest rung is scored; no need to prune further
         prune_count = len(remaining) - next_target
         # Lines 8-18: repeatedly drop the lowest-scoring remaining node.
-        remaining.sort(key=lambda i: scores[i])
+        # Scores compare on rank_by_score's key: summation-order noise
+        # cannot reorder nodes, and a stable sort keeps ties in order.
+        key = np.round(scores, RANK_DECIMALS)
+        remaining.sort(key=lambda i: key[i])
         pruned, remaining = remaining[:prune_count], remaining[prune_count:]
-        for node in sorted(pruned, key=lambda i: scores[i]):
+        for node in pruned:
             removal_order.append(node)
             keep[node] = False
             if mask_features:
@@ -129,7 +140,8 @@ def interpret(
     if cached is not None and not removal_order:
         final_scores = rescore()
         passes += 1
-    survivors = sorted(remaining, key=lambda i: final_scores[i], reverse=True)
+    final_key = np.round(final_scores, RANK_DECIMALS)
+    survivors = sorted(remaining, key=lambda i: final_key[i], reverse=True)
     node_order = np.array(survivors + list(reversed(removal_order)), dtype=int)
 
     add_counter("explain.iterations", passes)

@@ -260,8 +260,8 @@ class CFExplainer(RankingExplainer):
         """The model's honest prediction after deleting edges ``deleted``.
 
         Both directions are zeroed and Â is renormalized from the edited
-        edge list — never through ``model.embed``'s content-keyed
-        ÂCache, which must not see these transient edits.
+        edge list — never through the model's content-keyed Â cache,
+        which must not see these transient edits.
         """
         keep = np.ones(edges.count)
         keep[deleted] = 0.0

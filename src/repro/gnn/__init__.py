@@ -9,11 +9,9 @@ per-dimension max of all node embeddings.
 from repro.gnn.batch import BatchPacker, GraphBatch, iter_batches
 from repro.gnn.cache import AHatCache, CachedForward, EmbeddingCache
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import normalized_adjacency
 from repro.gnn.train import TrainingHistory, evaluate_accuracy, train_gnn
 
 __all__ = [
-    "normalized_adjacency",
     "AHatCache",
     "CachedForward",
     "EmbeddingCache",

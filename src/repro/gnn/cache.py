@@ -2,11 +2,10 @@
 
 Two cost centers dominated the seed pipeline's redundant work:
 
-* ``normalized_adjacency`` was rebuilt on *every* ``predict`` /
-  ``embed`` call — O(N²) symmetrize/degree/scale passes per forward —
-  even though the evaluation calls the classifier on the same graphs
-  over and over.  :class:`AHatCache` memoizes Â (and its CSR form for
-  the batched engine) behind a content key.
+* Â was rebuilt on *every* ``predict`` call and every batch packing,
+  even though the evaluation classifies the same graphs over and over
+  and training packs them every epoch.  :class:`AHatCache` memoizes
+  the CSR Â the batched engine consumes behind a content key.
 * Every explainer independently re-ran the frozen Φ over the training
   and test graphs to get embeddings Z and the predicted class.
   :class:`EmbeddingCache` computes them once — in batched passes — and
@@ -51,35 +50,12 @@ class CacheInfo:
     maxsize: int
 
 
-class _AHatEntry:
-    """One cached Â: CSR canonical, dense derived lazily.
-
-    Â is *computed* in CSR form (:func:`normalized_adjacency_csr`) —
-    the form the batched engine consumes — and the dense matrix the
-    per-graph/explainer path wants is a cheap ``toarray`` fill from
-    it, so neither representation is ever built twice.
-    """
-
-    __slots__ = ("_dense", "csr")
-
-    def __init__(self, csr: CSRMatrix):
-        self.csr = csr
-        self._dense: np.ndarray | None = None
-
-    @property
-    def dense(self) -> np.ndarray:
-        if self._dense is None:
-            self._dense = self.csr.toarray()
-        return self._dense
-
-
 class AHatCache:
-    """LRU cache of normalized adjacencies keyed by graph content.
+    """LRU cache of CSR normalized adjacencies keyed by graph content.
 
-    ``get`` returns the dense Â consumed by the per-graph path;
-    ``get_csr`` additionally memoizes the CSR form the batched engine
-    packs into block-diagonal matrices.  Returned arrays are shared —
-    treat them as read-only.
+    ``get_csr`` returns the Â the batched engine packs into
+    block-diagonal matrices.  Returned matrices are shared — treat them
+    as read-only.
     """
 
     def __init__(self, maxsize: int = 128):
@@ -88,21 +64,29 @@ class AHatCache:
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0
-        self._entries: OrderedDict[bytes, _AHatEntry] = OrderedDict()
+        self._entries: OrderedDict[bytes, CSRMatrix] = OrderedDict()
 
-    def _entry(
+    def get_csr(
         self,
         adjacency: np.ndarray,
-        active_mask: np.ndarray | None,
+        active_mask: np.ndarray | None = None,
         key: bytes | None = None,
-    ) -> _AHatEntry:
+    ) -> CSRMatrix:
+        """Â in CSR form, computed at most once per content key.
+
+        ``key`` short-circuits the content hash when the caller already
+        holds the digest (``ACFG.content_key()``); it must equal what
+        :func:`repro.acfg.graph.content_digest` yields for
+        ``(adjacency, mask)`` — graph-keyed and array-keyed callers
+        then share cache entries.
+        """
+        adjacency = np.asarray(adjacency, dtype=np.float64)
+        mask = (
+            np.ones(adjacency.shape[0], dtype=bool)
+            if active_mask is None
+            else np.asarray(active_mask, dtype=bool)
+        )
         if key is None:
-            adjacency = np.asarray(adjacency, dtype=np.float64)
-            mask = (
-                np.ones(adjacency.shape[0], dtype=bool)
-                if active_mask is None
-                else np.asarray(active_mask, dtype=bool)
-            )
             key = _digest(adjacency, mask)
         entry = self._entries.get(key)
         if entry is not None:
@@ -112,42 +96,10 @@ class AHatCache:
             return entry
         self.misses += 1
         add_counter("cache.a_hat.misses")
-        adjacency = np.asarray(adjacency, dtype=np.float64)
-        mask = (
-            np.ones(adjacency.shape[0], dtype=bool)
-            if active_mask is None
-            else np.asarray(active_mask, dtype=bool)
-        )
-        entry = _AHatEntry(CSRMatrix(normalized_adjacency_csr(adjacency, mask)))
-        self._entries[key] = entry
+        entry = self._entries[key] = CSRMatrix(normalized_adjacency_csr(adjacency, mask))
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return entry
-
-    def get(
-        self,
-        adjacency: np.ndarray,
-        active_mask: np.ndarray | None = None,
-        key: bytes | None = None,
-    ) -> np.ndarray:
-        """The dense normalized adjacency Â, computed at most once.
-
-        ``key`` short-circuits the content hash when the caller already
-        holds the digest (``ACFG.content_key()``); it must equal what
-        :func:`repro.acfg.graph.content_digest` yields for
-        ``(adjacency, mask)`` — graph-keyed and array-keyed callers
-        then share cache entries.
-        """
-        return self._entry(adjacency, active_mask, key).dense
-
-    def get_csr(
-        self,
-        adjacency: np.ndarray,
-        active_mask: np.ndarray | None = None,
-        key: bytes | None = None,
-    ) -> CSRMatrix:
-        """Â in CSR form, for batch packing."""
-        return self._entry(adjacency, active_mask, key).csr
 
     def cache_info(self) -> CacheInfo:
         return CacheInfo(self.hits, self.misses, len(self._entries), self.maxsize)

@@ -7,21 +7,24 @@ connected linear layer producing probabilities over the 12 families
 from the per-dimension max over *all* node embeddings (DESIGN.md
 §"Pooling choice" records why max and not sum or mean).
 
-The classifier has two execution engines:
+The classifier has one forward, in two shapes:
 
-* the per-graph dense path (``embed`` / ``forward_acfg`` / ``predict``)
-  — PGExplainer's mask training backpropagates through it, and
-  Algorithm 2 re-embeds its rungs through ``embed_normalized``;
-* the batched block-diagonal path (``embed_batch`` / ``logits_batch``
-  / ``predict_batch``) over :class:`repro.gnn.batch.GraphBatch`, which
-  runs a whole mini-batch in one sparse forward pass.  Both paths are
-  numerically identical (tests/test_graph_batch.py).  Subgraph scoring
-  (``subgraph_proba_batch``) runs on this path too, packing the
-  node-masked copies of one graph into one batch.
+* the single-graph forward ``embed(rows, cols, values, features)``
+  runs Φ_e over a graph's real rows with Â given as an edge list
+  (:meth:`repro.nn.GCNConv.edge_weighted`).  ``values`` may carry
+  gradient, so GNNExplainer, CFExplainer and PGExplainer optimize one
+  weight per stored entry of Â through it (``weighted_edge_proba``),
+  Gradient differentiates it with respect to the features, and
+  Algorithm 2 re-embeds its pruned rungs with it;
+* the batched block-diagonal forward (``embed_batch`` /
+  ``logits_batch`` / ``predict_proba_batch``) over
+  :class:`repro.gnn.batch.GraphBatch` runs a whole mini-batch in one
+  sparse pass.  ``predict`` is a one-graph batch, and subgraph scoring
+  (``subgraph_proba_batch``) packs the node-masked copies of one graph
+  into one batch.
 
-GNNExplainer and CFExplainer optimize one weight per stored entry of Â
-and call ``weighted_edge_proba``: a differentiable forward over the
-real rows only, with Â given as an edge list.
+Both agree with the dense padded reference the tests keep
+(``tests/reference_training.py``) to within summation order.
 """
 
 from __future__ import annotations
@@ -74,9 +77,9 @@ class GCNClassifier(Module):
         self.in_features = in_features
         self.embedding_size = hidden[-1]
         self.num_classes = num_classes
-        #: Content-keyed memo of normalized adjacencies: repeated
-        #: ``predict``/``embed`` calls on the same graph, and batch
-        #: packing across epochs, reuse Â instead of rebuilding it.
+        #: Content-keyed memo of CSR normalized adjacencies: repeated
+        #: ``predict`` calls on the same graph, and batch packing across
+        #: epochs, reuse Â instead of rebuilding it.
         self.a_hat_cache = AHatCache()
 
     # ------------------------------------------------------------------
@@ -84,42 +87,22 @@ class GCNClassifier(Module):
     # ------------------------------------------------------------------
     def embed(
         self,
-        adjacency: np.ndarray,
-        features: np.ndarray,
-        active_mask: np.ndarray | None = None,
-        key: bytes | None = None,
-    ) -> Tensor:
-        """Node embeddings Z = Φ_e(A, X), shape ``[N, f]``.
-
-        ``active_mask`` marks real (non-padding, non-pruned) nodes;
-        inactive rows are forced to zero after every layer so padding
-        cannot leak bias terms into the pooled representation.
-        ``key`` optionally short-circuits the Â cache's content hash
-        (see :meth:`repro.gnn.cache.AHatCache.get`).
-        """
-        n = adjacency.shape[0]
-        if active_mask is None:
-            active_mask = np.ones(n, dtype=bool)
-        a_hat = Tensor(self.a_hat_cache.get(adjacency, active_mask, key=key))
-        return self.embed_normalized(a_hat, features, active_mask)
-
-    def embed_normalized(
-        self,
-        a_hat: Tensor,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        values: np.ndarray | Tensor,
         features: np.ndarray | Tensor,
-        active_mask: np.ndarray,
     ) -> Tensor:
-        """Φ_e given an already-normalized propagation matrix.
+        """Node embeddings Z = Φ_e(Â, X) over the rows of ``features``.
 
-        ``a_hat`` may be a differentiable :class:`Tensor` — PGExplainer
-        optimizes its soft edge mask by backpropagating through this path
-        into the mask while the GCN weights stay frozen.
+        ``(rows, cols, values)`` lists the entries of Â over those rows
+        (:func:`repro.gnn.normalize.normalized_edges` gives a graph's
+        real-node Â).  Padding rows are all-zero and never win the max
+        pooling, so a graph's real rows are all Φ needs.  ``values`` and
+        ``features`` may carry gradient.
         """
-        n = int(a_hat.shape[0])
-        mask = Tensor(np.asarray(active_mask, dtype=np.float64).reshape(n, 1))
         z = Tensor.ensure(features)
         for conv in self.convs:
-            z = conv(a_hat, z) * mask
+            z = conv.edge_weighted(rows, cols, values, z)
         return z
 
     # ------------------------------------------------------------------
@@ -149,13 +132,9 @@ class GCNClassifier(Module):
 
         ``(rows, cols, values)`` lists the entries of Â over the graph's
         real nodes; ``values`` may carry gradient (a soft edge mask
-        times Â).  The GCN layers run on the ``n_real`` real rows only:
-        padding rows are all-zero in the dense path, so they never change
-        the max pooling.
+        times Â).
         """
-        z = Tensor(graph.features[: graph.n_real])
-        for conv in self.convs:
-            z = conv.edge_weighted(rows, cols, values, z)
+        z = self.embed(rows, cols, values, graph.features[: graph.n_real])
         return self.logits(z).softmax(axis=-1)
 
     # ------------------------------------------------------------------
@@ -165,11 +144,10 @@ class GCNClassifier(Module):
         """Stacked node embeddings for a whole batch, ``[total_nodes, f]``.
 
         One sparse forward pass over the block-diagonal Â; row
-        ``batch.rows_of(i)`` holds graph *i*'s embeddings, identical to
-        what :meth:`embed` produces for that graph alone.  Each layer
-        runs as a fused spmm+bias+ReLU+mask kernel
-        (:func:`repro.nn.sparse.gcn_layer`), with intermediates in the
-        batch's :class:`~repro.nn.backend.KernelWorkspace` when one is
+        ``batch.rows_of(i)`` holds graph *i*'s embeddings (its padding
+        rows zero).  Each layer runs as a fused spmm+bias+ReLU+mask
+        kernel (:func:`repro.nn.sparse.gcn_layer`), with intermediates in
+        the batch's :class:`~repro.nn.backend.KernelWorkspace` when one is
         attached.
         """
         mask = batch.mask_column
@@ -220,23 +198,11 @@ class GCNClassifier(Module):
     # ------------------------------------------------------------------
     # conveniences over ACFG samples
     # ------------------------------------------------------------------
-    def forward_acfg(self, graph: ACFG) -> tuple[Tensor, Tensor]:
-        """(Z, probabilities) for one ACFG, masking padded nodes."""
-        mask = np.zeros(graph.n, dtype=bool)
-        mask[: graph.n_real] = True
-        key = graph.content_key() if hasattr(graph, "content_key") else None
-        z = self.embed(graph.adjacency, graph.features, mask, key=key)
-        return z, self.classify(z)
-
     def predict(self, graph: ACFG) -> int:
-        with no_grad():
-            _, probs = self.forward_acfg(graph)
-        return int(np.argmax(probs.numpy()))
+        return int(np.argmax(self.predict_proba(graph)))
 
     def predict_proba(self, graph: ACFG) -> np.ndarray:
-        with no_grad():
-            _, probs = self.forward_acfg(graph)
-        return probs.numpy().copy()
+        return self.predict_proba_batch([graph])[0]
 
     def predict_subgraph(self, graph: ACFG, kept_nodes: np.ndarray) -> int:
         """Prediction when only ``kept_nodes`` survive.

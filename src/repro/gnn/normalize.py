@@ -7,7 +7,9 @@ nodes — zero features, zero edges — stay exactly inert through Φ_e.
 :func:`self_looped_edges` and :func:`masked_normalized_csr` derive the
 Â of many node-masked copies of one graph from its edge list in
 O(K·E), without going back to the dense matrix per copy — the
-perturbation-scoring path (:func:`repro.gnn.batch.iter_perturbation_batches`).
+perturbation-scoring path (:func:`repro.gnn.batch.iter_perturbation_batches`);
+:func:`normalized_edges` is the one-copy case, the edge list the
+single-graph forward ``GCNClassifier.embed`` takes.
 """
 
 from __future__ import annotations
@@ -17,62 +19,26 @@ from scipy import sparse as _sp
 
 __all__ = [
     "masked_normalized_csr",
-    "normalized_adjacency",
     "normalized_adjacency_csr",
+    "normalized_edges",
     "self_looped_edges",
 ]
-
-
-def normalized_adjacency(
-    adjacency: np.ndarray, active_mask: np.ndarray | None = None
-) -> np.ndarray:
-    """Symmetrically normalized adjacency with masked self-loops.
-
-    Parameters
-    ----------
-    adjacency:
-        Weighted adjacency ``A ∈ {0,1,2}^{N×N}`` (call edges weigh 2).
-    active_mask:
-        Boolean vector of length N; ``False`` rows get no self-loop.
-        Defaults to all-active.
-    """
-    adjacency = np.asarray(adjacency, dtype=np.float64)
-    n = adjacency.shape[0]
-    if adjacency.shape != (n, n):
-        raise ValueError(f"adjacency must be square, got {adjacency.shape}")
-    if active_mask is None:
-        active = np.ones(n, dtype=bool)
-    else:
-        active = np.asarray(active_mask, dtype=bool)
-        if active.shape != (n,):
-            raise ValueError(f"mask shape {active.shape} != ({n},)")
-
-    # Symmetrize: GCN message passing treats control-flow edges as
-    # bidirectional information channels, as PyG's GCNConv does for
-    # directed inputs.  Weights (1 jump / 2 call) are preserved.
-    symmetric = np.maximum(adjacency, adjacency.T)
-    with_loops = symmetric + np.diag(active.astype(np.float64))
-
-    degree = with_loops.sum(axis=1)
-    inv_sqrt = np.zeros_like(degree)
-    nonzero = degree > 0
-    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
-    return with_loops * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
 def normalized_adjacency_csr(
     adjacency: np.ndarray, active_mask: np.ndarray | None = None
 ) -> "_sp.csr_matrix":
-    """:func:`normalized_adjacency` computed directly in CSR form.
+    """Symmetrically normalized adjacency with masked self-loops, in CSR.
 
-    The dense reference materializes three O(N²) intermediates
-    (symmetrized matrix, self-loop sum, scaled product); this path
-    scans the dense input once for its nonzeros and does everything
-    else on the O(nnz) sparse structure — the form the batched engine
-    packs into block-diagonal matrices, so Â is never round-tripped
-    through a second dense materialization.  Equivalent to the dense
-    reference to within last-ulp summation-order effects in the degree
-    (≪ 1e-8; ``tests/test_kernel_backend.py`` pins it down).
+    ``adjacency`` is the weighted ``A ∈ {0,1,2}^{N×N}`` (call edges
+    weigh 2); ``active_mask`` (default all-active) marks the nodes that
+    get a self-loop.  Control-flow edges are symmetrized,
+    ``max(A, Aᵀ)``, as PyG's GCNConv does for directed inputs.  The
+    dense input is scanned once for its nonzeros and everything else
+    runs on the O(nnz) sparse structure — the form the batched engine
+    packs into block-diagonal matrices.  Equivalent to the dense
+    reference the tests keep to within last-ulp summation-order effects
+    in the degree (≪ 1e-8; ``tests/test_kernel_backend.py``).
     """
     adjacency = np.asarray(adjacency, dtype=np.float64)
     n = adjacency.shape[0]
@@ -154,3 +120,17 @@ def masked_normalized_csr(
     indptr = np.zeros(total + 1, dtype=np.intp)
     np.cumsum(np.bincount(src, minlength=total), out=indptr[1:])
     return _sp.csr_matrix((data, dst, indptr), shape=(total, total))
+
+
+def normalized_edges(
+    adjacency: np.ndarray, n_real: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the real-node Â, listed row-major.
+
+    The entries of ``normalized_adjacency_csr(adjacency, active)`` on
+    the first ``n_real`` nodes (``active`` marking them), in the order
+    of :func:`self_looped_edges`.
+    """
+    edges = self_looped_edges(adjacency, n_real)
+    a_hat = masked_normalized_csr(edges, np.ones((1, n_real), dtype=bool))
+    return edges[0], edges[1], a_hat.data

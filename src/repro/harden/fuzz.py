@@ -53,7 +53,7 @@ from repro.gnn.model import GCNClassifier
 from repro.harden.sanitize import GraphSanitizer, HostileInputError
 from repro.malgen.corpus import LabeledSample, block_motif_tags, generate_corpus
 from repro.malgen.families import FAMILIES
-from repro.nn import NumericalError, no_grad
+from repro.nn import NumericalError
 from repro.reduce import ReduceConfig, reduce_acfg
 
 __all__ = ["CrashRepro", "FuzzConfig", "FuzzReport", "run_fuzz", "main"]
@@ -345,9 +345,7 @@ class _Harness:
         )
 
     def forward(self, graph: ACFG) -> None:
-        with no_grad():
-            _, probs = self.model.forward_acfg(graph)
-        values = probs.numpy()
+        values = self.model.predict_proba_batch([graph])
         if not np.all(np.isfinite(values)):
             raise AssertionError(f"non-finite class probabilities: {values!r}")
 

@@ -10,7 +10,8 @@ arrays, never :class:`Tensor`; the autograd wrappers in
 
 * :func:`spmm` — scipy's compiled CSR kernel, driven through
   ``csr_matvecs`` directly when an output buffer is supplied so
-  repeated epochs reuse memory instead of reallocating.
+  repeated epochs reuse memory instead of reallocating;
+  :func:`edge_spmm` drives it from an edge list.
 * :func:`segment_sum` / :func:`segment_max` — per-segment row
   reductions: compiled ``reduceat`` over sorted segment ids, scatter
   ``ufunc.at`` otherwise.
@@ -35,7 +36,7 @@ try:  # scipy's compiled CSR kernels (private but stable since 0.x)
 except (ImportError, AttributeError):  # pragma: no cover - old scipy
     _csr_matvecs = None
 
-__all__ = ["KernelWorkspace", "segment_max", "segment_sum", "spmm"]
+__all__ = ["KernelWorkspace", "edge_spmm", "segment_max", "segment_sum", "spmm"]
 
 
 def _can_use_csr_matvecs(a, x: np.ndarray, out: np.ndarray) -> bool:
@@ -73,6 +74,34 @@ def spmm(
         out[...] = result
         return out
     return result
+
+
+def edge_spmm(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+    x: np.ndarray,
+    num_rows: int,
+) -> np.ndarray:
+    """``out[r] = Σ_{e: rows[e]=r} values[e] · x[cols[e]]``; duplicates add.
+
+    The edges are put in CSR order by a stable sort (a row keeps its
+    entries' order) and run through ``csr_matvecs``, the kernel under
+    scipy's ``a @ x``, without building a scipy matrix: on a graph of a
+    few hundred nodes the matrix object costs more than the product.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(num_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    indices, data = cols[order], values[order]
+    x = np.ascontiguousarray(x)
+    if _csr_matvecs is None or x.ndim != 2 or data.dtype != x.dtype:
+        return _sp.csr_matrix((data, indices, indptr), shape=(num_rows, x.shape[0])) @ x
+    out = np.zeros((num_rows, x.shape[1]), dtype=x.dtype)
+    _csr_matvecs(
+        num_rows, x.shape[0], x.shape[1], indptr, indices, data, x.ravel(), out.ravel()
+    )
+    return out
 
 
 def segment_sum(

@@ -118,7 +118,9 @@ class GCNConv(Module):
     """Graph convolution ``activation(A_hat @ X @ W + b)``.
 
     The caller supplies the (already normalized) propagation matrix so the
-    expensive normalization is computed once per graph, not per layer.
+    expensive normalization is computed once per graph, not per layer:
+    a constant CSR matrix (:meth:`sparse`, the batched engine) or a
+    differentiable edge list (:meth:`edge_weighted`, one graph).
     """
 
     def __init__(
@@ -138,9 +140,6 @@ class GCNConv(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def __call__(self, a_hat: Tensor, x: Tensor) -> Tensor:
-        return self._activation(a_hat @ (x @ self.weight) + self.bias)
-
     def sparse(
         self,
         a_hat: "CSRMatrix",
@@ -149,7 +148,7 @@ class GCNConv(Module):
         workspace: KernelWorkspace | None = None,
         slot: str = "gcn",
     ) -> Tensor:
-        """The same propagation with a constant CSR matrix.
+        """The propagation with a constant CSR matrix.
 
         Used by the batched engine, where ``a_hat`` is the
         block-diagonal Â of a whole mini-batch.  When the constant 0/1
@@ -172,7 +171,7 @@ class GCNConv(Module):
     def edge_weighted(
         self, rows: np.ndarray, cols: np.ndarray, weights: Tensor, x: Tensor
     ) -> Tensor:
-        """The same propagation with Â given as a differentiable edge list.
+        """The propagation with Â given as a differentiable edge list.
 
         ``weights[e]`` is the entry of Â at ``(rows[e], cols[e])`` over
         the rows of ``x``; gradients reach the weights as well as ``x``

@@ -167,16 +167,6 @@ def csr_matmul(
     return Tensor._from_op(data, (x,), backward, "csr_matmul")
 
 
-def _edge_csr(
-    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
-) -> "_sp.csr_matrix":
-    """CSR matrix of an edge list; duplicate ``(row, col)`` pairs add."""
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    return _sp.csr_matrix((values[order], cols[order], indptr), shape=shape)
-
-
 def edge_spmm(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -198,13 +188,13 @@ def edge_spmm(
     cols = np.asarray(cols, dtype=np.intp)
     if rows.ndim != 1 or not rows.shape == cols.shape == weights.shape:
         raise ValueError("rows, cols and weights must be 1-D of equal length")
-    mat = _edge_csr(rows, cols, weights.data, (num_rows, x.shape[0]))
-    data = kernels.spmm(mat, x.data)
+    data = kernels.edge_spmm(rows, cols, weights.data, x.data, num_rows)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            mat_t = _edge_csr(cols, rows, weights.data, (x.shape[0], num_rows))
-            x._accumulate_owned(kernels.spmm(mat_t, grad))
+            x._accumulate_owned(
+                kernels.edge_spmm(cols, rows, weights.data, grad, x.shape[0])
+            )
         if weights.requires_grad:
             weights._accumulate_owned(
                 np.einsum("ij,ij->i", grad[rows], x.data[cols])

@@ -266,28 +266,6 @@ class Tensor:
 
         return Tensor._from_op(data, (self,), backward, "getitem")
 
-    def scatter2d(
-        self, shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray
-    ) -> "Tensor":
-        """Place this 1-D tensor's values at ``(rows[i], cols[i])`` of a
-        zero matrix of ``shape``.  Positions must be unique.
-
-        The differentiable inverse of fancy indexing: used to scatter
-        per-edge mask values into an adjacency-shaped matrix.
-        """
-        values = self.data.reshape(-1)
-        rows = np.asarray(rows, dtype=int)
-        cols = np.asarray(cols, dtype=int)
-        if values.size != rows.size or rows.size != cols.size:
-            raise ValueError("values, rows and cols must have equal length")
-        data = np.zeros(shape, dtype=self.data.dtype)
-        data[rows, cols] = values
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate_owned(grad[rows, cols].reshape(self.data.shape))
-
-        return Tensor._from_op(data, (self,), backward, "scatter2d")
-
     @staticmethod
     def concatenate(tensors: Sequence["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [Tensor.ensure(t) for t in tensors]

@@ -15,8 +15,9 @@ in order and the exit code is non-zero if any of them fails:
    generated corpus — the same CFG/ACFG invariant gate the evaluation
    pipeline runs.
 4. A batching smoke test: on a tiny corpus the block-diagonal batched
-   engine must match the per-graph dense path to 1e-8 (logits and
-   embeddings), and Algorithm 2 its dense oracle exactly.
+   engine and the edge-list forward must match the dense per-graph
+   reference the tests keep to 1e-8 (logits and embeddings), and
+   Algorithm 2 its dense oracle exactly.
 5. With ``--profile``, an observability smoke test: a tiny traced
    pipeline run must emit a well-formed ``RUN_MANIFEST.json`` whose
    span tree covers every stage with nonzero timings.
@@ -105,14 +106,16 @@ def _run_corpus_verification(samples: int, seed: int) -> bool:
 
 
 def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 1e-8) -> bool:
-    """Batched and edge-list engines against dense references.
+    """Batched and edge-list engines against the dense references.
 
-    Checks the mini-batch forward against ``forward_acfg``,
-    ``subgraph_proba_batch`` against a dense forward of each subgraph,
-    ``weighted_edge_proba`` at a unit mask against ``forward_acfg``,
-    CFExplainer's renormalized edge Â at all-keep against
-    ``normalized_adjacency``, and Algorithm 2's rung Â and node order
-    exactly against ``tests/test_algorithm2_oracle.py``.
+    The references live in the tests (``tests/reference_training.py``
+    and ``tests/test_algorithm2_oracle.py``), so run this from a full
+    checkout.  Checks the mini-batch forward against the dense per-graph
+    forward, ``subgraph_proba_batch`` against a dense forward of each
+    subgraph, ``weighted_edge_proba`` at a unit mask against the dense
+    forward, CFExplainer's renormalized edge Â at all-keep against the
+    dense Â, and Algorithm 2's rung Â and node order exactly against
+    the dense oracle.
     """
     import numpy as np
 
@@ -120,14 +123,16 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
     from repro.core import CFGExplainerModel, interpret
     from repro.core.interpret import rung_a_hat
     from repro.explain.counterfactual import RenormalizedEdges
-    from repro.gnn import GCNClassifier, GraphBatch, normalized_adjacency
+    from repro.gnn import GCNClassifier, GraphBatch
     from repro.gnn.normalize import normalized_adjacency_csr, self_looped_edges
     from repro.malgen import generate_corpus
     from repro.nn import Tensor, no_grad
 
-    path = root / "tests" / "test_algorithm2_oracle.py"
-    oracle = importlib.util.module_from_spec(importlib.util.spec_from_file_location("oracle", path))
-    oracle.__spec__.loader.exec_module(oracle)
+    if str(root) not in sys.path:
+        sys.path.insert(0, str(root))
+    from tests import reference_training as reference
+    from tests.test_algorithm2_oracle import dense_interpret
+
     dataset = ACFGDataset.from_corpus(generate_corpus(samples, seed=seed))
     model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(seed))
     theta = CFGExplainerModel(8, dataset.num_classes, rng=np.random.default_rng(seed))
@@ -139,7 +144,7 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
     worst = worst_subgraph = worst_edges = 0.0
     for i, graph in enumerate(dataset):
         with no_grad():
-            z, probs_acfg = model.forward_acfg(graph)
+            z, probs_acfg = reference.dense_forward(model, graph)
             logits = model.logits(z)
         worst = max(
             worst,
@@ -151,17 +156,16 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
         for probs, kept in zip(batched, kept_sets):
             mask = np.zeros(graph.n, dtype=bool)
             mask[kept] = True
-            a_hat = normalized_adjacency(graph.subgraph_adjacency(kept), mask)
             with no_grad():
-                z = model.embed_normalized(
-                    Tensor(a_hat), graph.masked_features(kept), mask
+                z = reference.dense_embed(
+                    model, graph.subgraph_adjacency(kept), graph.masked_features(kept), mask
                 )
-                reference = model.classify(z).numpy()
-            worst_subgraph = max(worst_subgraph, float(np.max(np.abs(probs - reference))))
+                expected = model.classify(z).numpy()
+            worst_subgraph = max(worst_subgraph, float(np.max(np.abs(probs - expected))))
         n_real = graph.n_real
         edges = RenormalizedEdges(graph.adjacency, n_real)
         active = np.arange(graph.n) < n_real
-        dense = normalized_adjacency(graph.adjacency, active)[:n_real, :n_real]
+        dense = reference.dense_a_hat(graph.adjacency, active)[:n_real, :n_real]
         with no_grad():
             a_hat = edges.a_hat(Tensor(np.ones(edges.count)))
             probs = model.weighted_edge_proba(graph, edges.rows, edges.cols, a_hat)
@@ -175,9 +179,11 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
         worst_edges = max(worst_edges, float(np.max(np.abs(dense[off_support]), initial=0.0)))
         keep = rng.random(n_real) < 0.5
         rung = normalized_adjacency_csr(graph.subgraph_adjacency(np.flatnonzero(keep)), active)
-        rung_edges = rung_a_hat(self_looped_edges(graph.adjacency, n_real), keep)
+        rows, cols, values = rung_a_hat(self_looped_edges(graph.adjacency, n_real), keep)
+        rung_edges = np.zeros((n_real, n_real))
+        rung_edges[rows, cols] = values
         mismatches += not np.array_equal(rung_edges, rung.toarray()[:n_real, :n_real])
-        expected = oracle.dense_interpret(theta, model, graph)[0]["node_order"]
+        expected = dense_interpret(theta, model, graph)[0]["node_order"]
         mismatches += not np.array_equal(interpret(theta, model, graph).node_order, expected)
     ok = max(worst, worst_subgraph, worst_edges) <= tolerance and not mismatches
     status = "ok" if ok else "FAILED"

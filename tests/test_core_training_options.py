@@ -4,6 +4,7 @@ import numpy as np
 
 from repro.core import CFGExplainerModel, train_cfgexplainer
 from repro.core.training import precompute_embeddings
+from tests.reference_training import dense_embed
 
 
 class TestPrecomputeEmbeddings:
@@ -56,7 +57,7 @@ class TestTrainingOptions:
         from repro.nn import no_grad
 
         with no_grad():
-            z = trained_gnn.embed(graph.adjacency, graph.features, mask)
+            z = dense_embed(trained_gnn, graph.adjacency, graph.features, mask)
         free = theta_free.node_scores(z, graph.n_real).mean()
         sparse = theta_sparse.node_scores(z, graph.n_real).mean()
         assert sparse < free
@@ -69,7 +70,7 @@ class TestTrainingOptions:
         from repro.nn import no_grad
 
         with no_grad():
-            z = trained_gnn.embed(graph.adjacency, graph.features, mask)
+            z = dense_embed(trained_gnn, graph.adjacency, graph.features, mask)
             logits = trained_theta.scorer.score_logits(z).numpy()
             scores = trained_theta.scorer(z).numpy()
         np.testing.assert_allclose(1 / (1 + np.exp(-logits)), scores, atol=1e-10)

@@ -2,10 +2,12 @@
 
 Both explainers learn one weight per stored entry of the real-node Â and
 run every step through ``weighted_edge_proba``.  The oracles below are
-the dense ``[N, N]`` bodies they replaced, verbatim in arithmetic: the
+the dense ``[N, N]`` bodies they replaced, verbatim in arithmetic, on
+the dense reference forward (``tests/reference_training.py``): the
 same seeded draws, the same Adam trajectory, the same clipping.
 Contract: GNNExplainer mask probabilities and CFExplainer node scores
-within 1e-9, identical counterfactual edits and node orders, on padded
+within 1e-9, GNNExplainer node scores within 1e-12, identical
+counterfactual edits and node orders, on padded
 and unpadded graphs and on the edge cases (edgeless, single node,
 disconnected, self-jump blocks, weight-2 call edges).
 """
@@ -17,14 +19,19 @@ import pytest
 
 from repro.acfg import ACFG
 from repro.baselines import GNNExplainerBaseline, SubgraphXBaseline
-from repro.baselines.gnnexplainer import edge_mass_node_scores
 from repro.explain import CFExplainer, CounterfactualResult
 from repro.explain.base import rank_by_score
 from repro.explain.counterfactual import RenormalizedEdges
-from repro.gnn import GCNClassifier, normalized_adjacency
-from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
+from repro.gnn import GCNClassifier
+from repro.gnn.normalize import normalized_edges
 from repro.nn import Adam, Tensor, edge_spmm, nll_loss_from_probs, no_grad
 from repro.nn.guards import NumericalError, clip_grad_norm
+from tests.reference_training import (
+    dense_a_hat,
+    dense_embed_a_hat,
+    dense_predict,
+    dense_predict_proba,
+)
 
 TOLERANCE = 1e-9
 
@@ -39,9 +46,9 @@ def dense_optimize_mask(explainer: GNNExplainerBaseline, graph: ACFG) -> np.ndar
     n = graph.n
     active = np.zeros(n, dtype=bool)
     active[: graph.n_real] = True
-    a_hat = normalized_adjacency(graph.adjacency, active)
+    a_hat = dense_a_hat(graph.adjacency, active)
     support = a_hat > 0
-    target = model.predict(graph)
+    target = dense_predict(model, graph)
     logits = Tensor(rng.normal(1.0, 0.1, size=(n, n)), requires_grad=True)
     support_tensor = Tensor(support.astype(np.float64))
     a_hat_tensor = Tensor(a_hat)
@@ -50,7 +57,7 @@ def dense_optimize_mask(explainer: GNNExplainerBaseline, graph: ACFG) -> np.ndar
     for _ in range(explainer.epochs):
         optimizer.zero_grad()
         mask = logits.sigmoid() * support_tensor
-        z = model.embed_normalized(a_hat_tensor * mask, graph.features, active)
+        z = dense_embed_a_hat(model, a_hat_tensor * mask, graph.features, active)
         probs = model.classify(z)
         probs_all = logits.sigmoid()
         entropy = -(
@@ -75,8 +82,8 @@ def _dense_classify_deleted(model, graph, pairs, active):
         edited[i, j] = 0.0
         edited[j, i] = 0.0
     with no_grad():
-        z = model.embed_normalized(
-            Tensor(normalized_adjacency(edited, active)), graph.features, active
+        z = dense_embed_a_hat(
+            model, Tensor(dense_a_hat(edited, active)), graph.features, active
         )
         return int(np.argmax(model.classify(z).numpy()))
 
@@ -87,7 +94,7 @@ def dense_counterfactual(explainer: CFExplainer, graph: ACFG) -> CounterfactualR
     n, n_real = graph.n, graph.n_real
     active = np.zeros(n, dtype=bool)
     active[:n_real] = True
-    original = model.predict(graph)
+    original = dense_predict(model, graph)
     sym = np.maximum(graph.adjacency, graph.adjacency.T)
     iu, ju = np.nonzero(np.triu(sym[:n_real, :n_real], k=1))
     if iu.size == 0:
@@ -123,7 +130,7 @@ def dense_counterfactual(explainer: CFExplainer, graph: ACFG) -> CounterfactualR
             with_loops = sym_t * keep * support_t + const_t
             inv_sqrt = (with_loops.sum(axis=1, keepdims=True) + guard) ** -0.5
             a_hat = with_loops * inv_sqrt * inv_sqrt.T
-            probs = model.classify(model.embed_normalized(a_hat, graph.features, active))
+            probs = model.classify(dense_embed_a_hat(model, a_hat, graph.features, active))
             p_original = probs.reshape(-1)[original : original + 1]
             loss = -((1.0 - p_original).log(eps=1e-12).sum()) + explainer.l1_weight * (
                 ((1.0 - keep) * support_t).sum() * 0.5
@@ -274,13 +281,10 @@ def test_weighted_edge_proba_at_unit_mask_equals_forward_acfg(small_dataset):
     model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(3))
     _, test_set = small_dataset
     for graph in list(test_set.graphs[:3]) + edge_case_graphs():
-        edges = self_looped_edges(graph.adjacency, graph.n_real)
-        a_hat = masked_normalized_csr(edges, np.ones((1, graph.n_real), dtype=bool))
+        rows, cols, a_hat = normalized_edges(graph.adjacency, graph.n_real)
         with no_grad():
-            probs = model.weighted_edge_proba(
-                graph, edges[0], edges[1], Tensor(a_hat.data)
-            ).numpy()
-        assert np.max(np.abs(probs - model.predict_proba(graph))) <= 1e-12
+            probs = model.weighted_edge_proba(graph, rows, cols, Tensor(a_hat)).numpy()
+        assert np.max(np.abs(probs - dense_predict_proba(model, graph))) <= 1e-12
 
 
 def test_renormalized_edges_at_all_keep_equal_normalized_adjacency(small_dataset):
@@ -291,7 +295,7 @@ def test_renormalized_edges_at_all_keep_equal_normalized_adjacency(small_dataset
         dense[edges.rows, edges.cols] = edges.a_hat(Tensor(np.ones(edges.count))).numpy()
         active = np.zeros(graph.n, dtype=bool)
         active[: graph.n_real] = True
-        reference = normalized_adjacency(graph.adjacency, active)
+        reference = dense_a_hat(graph.adjacency, active)
         np.testing.assert_allclose(
             dense, reference[: graph.n_real, : graph.n_real], rtol=0, atol=1e-15
         )
@@ -318,13 +322,13 @@ def test_renormalized_edges_follow_triu_order():
 def assert_mask_matches(explainer, graph):
     sparse = explainer.optimize_mask(graph)
     dense = dense_optimize_mask(explainer, graph)
-    assert sparse.shape == (graph.n, graph.n)
-    assert np.max(np.abs(sparse - dense)) <= TOLERANCE
-    np.testing.assert_array_equal(sparse > 0, dense > 0)
-    np.testing.assert_array_equal(
-        explainer.rank_nodes(graph)[0],
-        rank_by_score(edge_mass_node_scores(dense, graph.n_real)),
-    )
+    rows, cols, _ = normalized_edges(graph.adjacency, graph.n_real)
+    np.testing.assert_array_equal(np.argwhere(dense > 0), np.stack([rows, cols], axis=1))
+    assert np.max(np.abs(sparse - dense[rows, cols]), initial=0.0) <= TOLERANCE
+    order, scores = explainer.rank_nodes(graph)
+    dense_scores = (dense.sum(axis=0) + dense.sum(axis=1))[: graph.n_real]
+    assert np.max(np.abs(scores - dense_scores), initial=0.0) <= 1e-12
+    np.testing.assert_array_equal(order, rank_by_score(dense_scores))
 
 
 def assert_counterfactual_matches(explainer, graph):

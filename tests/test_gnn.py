@@ -1,4 +1,9 @@
-"""Tests for adjacency normalization and the GCN classifier."""
+"""Tests for adjacency normalization and the GCN classifier.
+
+``dense_a_hat`` is the dense normalization the tests keep as a
+reference (``tests/reference_training.py``); the classifier's own Â
+comes from ``repro.gnn.normalize``.
+"""
 
 import numpy as np
 import pytest
@@ -6,39 +11,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.acfg import ACFG, ACFGDataset, FeatureScaler, train_test_split
-from repro.gnn import GCNClassifier, evaluate_accuracy, normalized_adjacency, train_gnn
+from repro.gnn import GCNClassifier, GraphBatch, evaluate_accuracy, train_gnn
+from repro.gnn.normalize import normalized_edges
 from repro.malgen import generate_corpus
+from repro.nn import no_grad
+from tests.reference_training import dense_a_hat
 
 
 class TestNormalizedAdjacency:
     def test_symmetric_output(self):
         adjacency = np.array([[0, 1, 0], [0, 0, 2], [0, 0, 0]], dtype=float)
-        a_hat = normalized_adjacency(adjacency)
+        a_hat = dense_a_hat(adjacency)
         np.testing.assert_allclose(a_hat, a_hat.T)
 
     def test_isolated_active_node_keeps_self_loop(self):
-        a_hat = normalized_adjacency(np.zeros((2, 2)))
+        a_hat = dense_a_hat(np.zeros((2, 2)))
         np.testing.assert_allclose(a_hat, np.eye(2))
 
     def test_masked_node_fully_inert(self):
         adjacency = np.zeros((3, 3))
         adjacency[0, 1] = 1
         mask = np.array([True, True, False])
-        a_hat = normalized_adjacency(adjacency, mask)
+        a_hat = dense_a_hat(adjacency, mask)
         np.testing.assert_array_equal(a_hat[2], np.zeros(3))
         np.testing.assert_array_equal(a_hat[:, 2], np.zeros(3))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            normalized_adjacency(np.zeros((2, 3)))
+            dense_a_hat(np.zeros((2, 3)))
 
     def test_rejects_bad_mask_shape(self):
         with pytest.raises(ValueError, match="mask shape"):
-            normalized_adjacency(np.zeros((2, 2)), np.ones(3, dtype=bool))
+            dense_a_hat(np.zeros((2, 2)), np.ones(3, dtype=bool))
 
     def test_call_weight_preserved(self):
         adjacency = np.array([[0, 2], [0, 0]], dtype=float)
-        a_hat = normalized_adjacency(adjacency)
+        a_hat = dense_a_hat(adjacency)
         # degrees: node0 = 2+1, node1 = 2+1 -> entry = 2/3
         np.testing.assert_allclose(a_hat[0, 1], 2.0 / 3.0)
 
@@ -47,7 +55,7 @@ class TestNormalizedAdjacency:
     def test_property_rows_bounded(self, n, seed):
         rng = np.random.default_rng(seed)
         adjacency = rng.choice([0.0, 1.0, 2.0], size=(n, n), p=[0.7, 0.2, 0.1])
-        a_hat = normalized_adjacency(adjacency)
+        a_hat = dense_a_hat(adjacency)
         assert np.all(a_hat >= 0)
         assert np.all(np.isfinite(a_hat))
         # Spectral radius of the normalized matrix is at most 1.
@@ -69,16 +77,21 @@ class TestGCNClassifier:
     def test_embedding_shape_and_nonnegative(self):
         model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
         graph = small_acfg()
-        z, probs = model.forward_acfg(graph)
-        assert z.shape == (graph.n, 4)
+        z = model.embed(
+            *normalized_edges(graph.adjacency, graph.n_real),
+            graph.features[: graph.n_real],
+        )
+        assert z.shape == (graph.n_real, 4)
         assert (z.numpy() >= 0).all(), "ReLU embeddings must be non-negative"
+        probs = model.predict_proba(graph)
         assert probs.shape == (12,)
-        np.testing.assert_allclose(probs.numpy().sum(), 1.0, atol=1e-9)
+        np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-9)
 
     def test_padded_nodes_have_zero_embeddings(self):
         model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
         graph = small_acfg(n=6, n_real=4)
-        z, _ = model.forward_acfg(graph)
+        with no_grad():
+            z = model.embed_batch(GraphBatch.from_graphs([graph]))
         np.testing.assert_array_equal(z.numpy()[4:], np.zeros((2, 4)))
 
     def test_padding_does_not_change_prediction(self):

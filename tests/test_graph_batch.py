@@ -20,7 +20,12 @@ from repro.gnn import (
     train_gnn,
 )
 from repro.nn import Tensor, cross_entropy, cross_entropy_batch, no_grad
-from tests.reference_training import train_per_graph
+from tests.reference_training import (
+    dense_a_hat,
+    dense_forward,
+    dense_predict,
+    train_per_graph,
+)
 
 TOLERANCE = 1e-8
 
@@ -60,7 +65,7 @@ class TestBatchedForwardEquivalence:
             probs_batch = logits_batch.softmax(axis=-1)
         for i, graph in enumerate(mixed_batch_graphs):
             with no_grad():
-                z, probs = model.forward_acfg(graph)
+                z, probs = dense_forward(model, graph)
                 logits = model.logits(z)
             np.testing.assert_allclose(
                 z_batch.numpy()[batch.rows_of(i)], z.numpy(), atol=TOLERANCE
@@ -75,7 +80,7 @@ class TestBatchedForwardEquivalence:
     def test_predict_batch_matches_predict(self, mixed_batch_graphs):
         model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(1))
         batched = model.predict_batch(mixed_batch_graphs, batch_size=2)
-        per_graph = [model.predict(g) for g in mixed_batch_graphs]
+        per_graph = [dense_predict(model, g) for g in mixed_batch_graphs]
         np.testing.assert_array_equal(batched, per_graph)
 
     def test_batched_loss_matches_per_graph_sum(self, mixed_batch_graphs):
@@ -88,7 +93,7 @@ class TestBatchedForwardEquivalence:
             per_graph = np.mean(
                 [
                     cross_entropy(
-                        model.logits(model.forward_acfg(g)[0]), g.label
+                        model.logits(dense_forward(model, g)[0]), g.label
                     ).item()
                     for g in mixed_batch_graphs
                 ]
@@ -106,7 +111,7 @@ class TestBatchedForwardEquivalence:
 
         loss = None
         for graph in mixed_batch_graphs:
-            z, _ = model_b.forward_acfg(graph)
+            z, _ = dense_forward(model_b, graph)
             term = cross_entropy(model_b.logits(z), graph.label)
             loss = term if loss is None else loss + term
         (loss * (1.0 / len(mixed_batch_graphs))).backward()
@@ -201,9 +206,9 @@ class TestAHatCache:
         cache = AHatCache()
         adjacency = np.zeros((3, 3))
         adjacency[0, 1] = 1.0
-        first = cache.get(adjacency).copy()
+        first = cache.get_csr(adjacency).toarray()
         adjacency[1, 2] = 1.0  # in-place mutation, same object
-        second = cache.get(adjacency)
+        second = cache.get_csr(adjacency).toarray()
         assert cache.cache_info().misses == 2
         assert not np.allclose(first, second)
 
@@ -213,7 +218,7 @@ class TestAHatCache:
             adjacency = np.zeros((2, 2))
             adjacency[0, 1] = float(k % 2 + 1)
             adjacency[1, 0] = float(k // 2 + 1)
-            cache.get(adjacency)
+            cache.get_csr(adjacency)
         assert cache.cache_info().size <= 2
 
     def test_dense_and_csr_agree(self, mixed_batch_graphs):
@@ -222,7 +227,7 @@ class TestAHatCache:
         mask = np.zeros(graph.n, dtype=bool)
         mask[: graph.n_real] = True
         np.testing.assert_allclose(
-            cache.get(graph.adjacency, mask),
+            dense_a_hat(graph.adjacency, mask),
             cache.get_csr(graph.adjacency, mask).toarray(),
             atol=1e-15,
         )
@@ -245,7 +250,7 @@ class TestEmbeddingCache:
         cache.populate(mixed_batch_graphs, batch_size=3)
         for graph in mixed_batch_graphs:
             with no_grad():
-                z, probs = model.forward_acfg(graph)
+                z, probs = dense_forward(model, graph)
             entry = cache.forward(graph)
             np.testing.assert_allclose(entry.z, z.numpy(), atol=TOLERANCE)
             np.testing.assert_allclose(entry.probs, probs.numpy(), atol=TOLERANCE)

@@ -31,7 +31,7 @@ from repro.gnn.batch import (
     iter_perturbation_batches,
 )
 from repro.gnn.cache import AHatCache
-from repro.gnn.normalize import normalized_adjacency, normalized_adjacency_csr
+from repro.gnn.normalize import normalized_adjacency_csr
 from repro.malgen import generate_corpus
 from repro.nn import (
     Adam,
@@ -46,7 +46,7 @@ from repro.nn import (
     segment_sum,
 )
 from repro.nn import backend as kernels
-from tests.reference_training import train_per_graph
+from tests.reference_training import dense_a_hat, dense_embed, train_per_graph
 
 
 @pytest.fixture(scope="module")
@@ -142,7 +142,7 @@ def test_normalized_adjacency_csr_matches_dense_reference():
     mask[n - 5 :] = False
     adjacency[n - 5 :, :] = 0.0
     adjacency[:, n - 5 :] = 0.0
-    dense = normalized_adjacency(adjacency, mask)
+    dense = dense_a_hat(adjacency, mask)
     via_csr = normalized_adjacency_csr(adjacency, mask).toarray()
     np.testing.assert_allclose(via_csr, dense, atol=1e-8)
     # isolated-but-active node keeps its self-loop; padded rows stay 0
@@ -192,7 +192,7 @@ def test_fused_layer_drives_the_batched_path(small_sets):
     for i, graph in enumerate(graphs):
         mask = np.zeros(graph.n, dtype=bool)
         mask[: graph.n_real] = True
-        solo = model.embed(graph.adjacency, graph.features, mask)
+        solo = dense_embed(model, graph.adjacency, graph.features, mask)
         np.testing.assert_allclose(
             z.numpy()[batch.rows_of(i)], solo.numpy(), atol=1e-8
         )
@@ -350,7 +350,7 @@ def test_graph_content_keys_unify_with_raw_array_hashing(small_sets):
     mask = np.zeros(graph.n, dtype=bool)
     mask[: graph.n_real] = True
     # Raw-array lookup populates; graph-keyed lookup must hit it.
-    cache.get(graph.adjacency, mask)
+    cache.get_csr(graph.adjacency, mask)
     cache.get_csr(graph.adjacency, mask, key=graph.content_key())
     assert cache.cache_info().misses == 1
     assert cache.cache_info().hits == 1

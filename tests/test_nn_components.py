@@ -78,20 +78,23 @@ class TestGCNConv:
     def test_propagation_mixes_neighbours(self):
         conv = GCNConv(2, 2, activation="linear", rng=np.random.default_rng(0))
         # Two nodes connected: output of node 0 must depend on node 1's input.
-        a_hat = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        rows, cols = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        a_hat = Tensor(np.full(4, 0.5))
         x1 = Tensor(np.array([[1.0, 0.0], [0.0, 0.0]]))
         x2 = Tensor(np.array([[1.0, 0.0], [5.0, 0.0]]))
-        out1 = conv(a_hat, x1).numpy()
-        out2 = conv(a_hat, x2).numpy()
+        out1 = conv.edge_weighted(rows, cols, a_hat, x1).numpy()
+        out2 = conv.edge_weighted(rows, cols, a_hat, x2).numpy()
         assert not np.allclose(out1[0], out2[0])
 
     def test_isolated_node_unaffected_by_others(self):
         conv = GCNConv(2, 3, activation="linear", rng=np.random.default_rng(0))
-        a_hat = Tensor(np.eye(2))
+        rows = cols = np.array([0, 1])  # Â = I
+        a_hat = Tensor(np.ones(2))
         x1 = Tensor(np.array([[1.0, 2.0], [0.0, 0.0]]))
         x2 = Tensor(np.array([[1.0, 2.0], [9.0, -9.0]]))
         np.testing.assert_allclose(
-            conv(a_hat, x1).numpy()[0], conv(a_hat, x2).numpy()[0]
+            conv.edge_weighted(rows, cols, a_hat, x1).numpy()[0],
+            conv.edge_weighted(rows, cols, a_hat, x2).numpy()[0],
         )
 
 

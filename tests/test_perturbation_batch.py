@@ -27,6 +27,7 @@ from repro.gnn.normalize import (
     self_looped_edges,
 )
 from repro.nn import no_grad
+from tests.reference_training import dense_embed
 
 TOLERANCE = 1e-12
 
@@ -40,7 +41,7 @@ def dense_subgraph_proba(model, graph, kept_nodes):
     mask[kept_nodes] = True
     mask[graph.n_real :] = False
     with no_grad():
-        z = model.embed(adjacency, features, mask)
+        z = dense_embed(model, adjacency, features, mask)
         probs = model.classify(z)
     return probs.numpy().copy()
 

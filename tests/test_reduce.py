@@ -35,6 +35,7 @@ from repro.reduce import (
     reduce_acfg,
     reduce_sample,
 )
+from tests.reference_training import dense_forward
 
 HOSTILE_DIR = Path(__file__).parent / "data" / "hostile"
 
@@ -361,8 +362,8 @@ class TestNoopParity:
             in_features=NUM_FEATURES, hidden=(8, 8), rng=np.random.default_rng(0)
         )
         with no_grad():
-            _, probs_original = model.forward_acfg(graph)
-            _, probs_reduced = model.forward_acfg(result.graph)
+            _, probs_original = dense_forward(model, graph)
+            _, probs_reduced = dense_forward(model, result.graph)
         np.testing.assert_allclose(
             probs_reduced.numpy(), probs_original.numpy(), atol=0
         )

@@ -1,4 +1,5 @@
-"""Tests for the scatter2d and logsumexp tensor ops."""
+"""Tests for the logsumexp and stacking tensor ops, and for the dense
+reference's ``scatter2d``."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.nn import Tensor
 from repro.nn.tensor import stack_rows
+from tests.reference_training import scatter2d
 
 
 class TestStackRows:
@@ -26,23 +28,23 @@ class TestStackRows:
 class TestScatter2d:
     def test_forward_places_values(self):
         values = Tensor(np.array([1.0, 2.0, 3.0]))
-        out = values.scatter2d((3, 3), np.array([0, 1, 2]), np.array([2, 0, 1]))
+        out = scatter2d(values, (3, 3), np.array([0, 1, 2]), np.array([2, 0, 1]))
         expected = np.zeros((3, 3))
         expected[0, 2], expected[1, 0], expected[2, 1] = 1.0, 2.0, 3.0
         np.testing.assert_array_equal(out.numpy(), expected)
 
     def test_gradient_gathers(self):
         values = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        out = values.scatter2d((2, 2), np.array([0, 1]), np.array([1, 0]))
+        out = scatter2d(values, (2, 2), np.array([0, 1]), np.array([1, 0]))
         (out * Tensor(np.array([[0.0, 3.0], [5.0, 0.0]]))).sum().backward()
         np.testing.assert_array_equal(values.grad, [3.0, 5.0])
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equal length"):
-            Tensor(np.array([1.0])).scatter2d((2, 2), np.array([0, 1]), np.array([0, 1]))
+            scatter2d(Tensor(np.array([1.0])), (2, 2), np.array([0, 1]), np.array([0, 1]))
 
     def test_empty_scatter(self):
-        out = Tensor(np.zeros(0)).scatter2d((2, 2), np.zeros(0, int), np.zeros(0, int))
+        out = scatter2d(Tensor(np.zeros(0)), (2, 2), np.zeros(0, int), np.zeros(0, int))
         np.testing.assert_array_equal(out.numpy(), np.zeros((2, 2)))
 
 
