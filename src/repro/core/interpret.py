@@ -6,9 +6,10 @@ remaining nodes lose their edges (and, by default, their features),
 the embeddings are recomputed through the frozen Φ_e on the pruned
 graph, and the loop repeats until only ``step_size`` percent of nodes
 remain.  The removal order, reversed, is the node importance ordering
-``V_ordered``; the subgraph ladder is its prefixes.  Pruned rungs run on
-the real rows with Â as an edge list, through the classifier's one
-single-graph forward (DESIGN.md, "Algorithm 2 on the edge list").
+``V_ordered``; the subgraph ladder is its prefixes.  Every rung, the
+full graph included, runs on the real rows with Â as an edge list,
+through the classifier's one single-graph forward (DESIGN.md,
+"Algorithm 2 on the edge list").
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from repro.explain.base import (
     level_fractions,
 )
 from repro.explain.explanation import Explanation, kept_count
-from repro.gnn.cache import EmbeddingCache
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
+from repro.gnn.normalize import normalized_values, self_looped_edges
 from repro.nn import Tensor, no_grad
 from repro.obs import add_counter, span as obs_span
 
@@ -45,9 +45,8 @@ def rung_a_hat(
     loop = rows == cols
     alive = (keep[rows] & keep[cols]) | loop
     weights = np.where(loop & ~keep[rows], 1.0, weights)
-    kept = (rows[alive], cols[alive], weights[alive])
-    a_hat = masked_normalized_csr(kept, np.ones((1, keep.size), dtype=bool))
-    return kept[0], kept[1], a_hat.data
+    rows, cols, weights = rows[alive], cols[alive], weights[alive]
+    return rows, cols, normalized_values(rows, cols, weights, keep.size)
 
 
 def interpret(
@@ -56,7 +55,6 @@ def interpret(
     graph: ACFG,
     step_size: int = 10,
     mask_features: bool = True,
-    embedding_cache: EmbeddingCache | None = None,
 ) -> Explanation:
     """Run Algorithm 2 on one ACFG.
 
@@ -73,10 +71,8 @@ def interpret(
       embeddings on the distribution the scores are used against;
       pass ``False`` for the literal Algorithm 2.
 
-    ``embedding_cache`` (the pipeline's shared
-    :class:`~repro.gnn.EmbeddingCache`) serves the full-graph rung —
-    Z of the first iteration and the predicted class — without storing
-    graphs it does not hold.  Pruned rungs always recompute.
+    Every rung, the full graph included, is one ``gnn.embed`` call; the
+    full graph's Z also gives the predicted class through Φ_c.
     """
     if graph.n_real == 0:
         raise ValueError("cannot interpret a graph with no real nodes")
@@ -85,36 +81,35 @@ def interpret(
     edges = self_looped_edges(graph.adjacency, n_real)
     features = np.asarray(graph.features[:n_real], dtype=np.float64).copy()
     keep = np.ones(n_real, dtype=bool)
-    cached = None if embedding_cache is None else (
-        embedding_cache.lookup(graph) or embedding_cache.compute(graph)
-    )
 
-    def rescore() -> np.ndarray:
+    def embed() -> np.ndarray:
         with no_grad():
-            z = gnn.embed(*rung_a_hat(edges, keep), features)
-        # Θ_s scores Z padded back to N rows (zero, as the batched
-        # forward leaves padding): its BLAS rounding depends on the row
-        # count.
-        padded = np.zeros((graph.n, z.shape[1]))
-        padded[:n_real] = z.numpy()
-        return explainer.node_scores(Tensor(padded), n_real)
+            return gnn.embed(*rung_a_hat(edges, keep), features).numpy()
+
+    # The full graph: its Z is the first rung's and gives the prediction.
+    z = embed()
+    passes = 1  # embeddings computed; graphs under 10 nodes skip rungs
+    with no_grad():
+        predicted_class = int(np.argmax(gnn.logits(Tensor(z)).numpy()))
 
     remaining = list(range(n_real))
     removal_order: list[int] = []
     first_pass_scores: np.ndarray | None = None
-    passes = 0  # scoring passes run; graphs under 10 nodes skip rungs
 
     # Walk the ladder top-down: 100%, 100-step, ..., step.
     target_sizes = [kept_count(f, n_real) for f in level_fractions(step_size)]
     for next_target in reversed([0] + target_sizes[:-1]):
         if next_target >= len(remaining):
             continue
-        if cached is not None and not removal_order:
-            # Full-graph rung: the cache's batched forward applies.
-            scores = explainer.node_scores(Tensor(cached.z), n_real)
-        else:
-            scores = rescore()
-        passes += 1
+        if removal_order:  # a pruned rung: re-embed
+            z = embed()
+            passes += 1
+        # Θ_s scores Z padded back to N rows (zero, as the batched
+        # forward leaves padding): its BLAS rounding depends on the row
+        # count.
+        padded = np.zeros((graph.n, z.shape[1]))
+        padded[:n_real] = z
+        scores = explainer.node_scores(Tensor(padded), n_real)
         if first_pass_scores is None:
             first_pass_scores = scores.copy()
         if next_target == 0:
@@ -134,13 +129,8 @@ def interpret(
 
     # Line 19: removal order reversed = importance order (most important
     # first).  Nodes never pruned (the final rung) are the most
-    # important of all; order them by the final rung's re-embedded
-    # scores, which the last pass holds unless the cache served it.
-    final_scores = scores
-    if cached is not None and not removal_order:
-        final_scores = rescore()
-        passes += 1
-    final_key = np.round(final_scores, RANK_DECIMALS)
+    # important of all; order them by the final rung's scores.
+    final_key = np.round(scores, RANK_DECIMALS)
     survivors = sorted(remaining, key=lambda i: final_key[i], reverse=True)
     node_order = np.array(survivors + list(reversed(removal_order)), dtype=int)
 
@@ -148,9 +138,7 @@ def interpret(
     return Explanation(
         graph=graph,
         explainer_name="CFGExplainer",
-        predicted_class=(
-            cached.predicted_class if cached is not None else gnn.predict(graph)
-        ),
+        predicted_class=predicted_class,
         node_order=node_order,
         # Line 20: the ladder, smallest subgraph first.
         levels=ladder_from_order(graph, node_order, step_size),
@@ -163,25 +151,13 @@ class CFGExplainer(Explainer):
 
     name = "CFGExplainer"
 
-    def __init__(
-        self,
-        model: GCNClassifier,
-        theta: CFGExplainerModel,
-        embedding_cache: EmbeddingCache | None = None,
-    ):
+    def __init__(self, model: GCNClassifier, theta: CFGExplainerModel):
         super().__init__(model)
         self.theta = theta
-        self.embedding_cache = embedding_cache
 
     def explain(self, graph: ACFG, step_size: int = 10) -> Explanation:
         with obs_span("explain.CFGExplainer") as explain_span:
-            # interpret credits one ``explain.iterations`` per scoring pass.
-            explanation = interpret(
-                self.theta,
-                self.model,
-                graph,
-                step_size,
-                embedding_cache=self.embedding_cache,
-            )
+            # interpret credits one ``explain.iterations`` per embedding.
+            explanation = interpret(self.theta, self.model, graph, step_size)
             explain_span.add("explain.graphs", 1)
             return explanation

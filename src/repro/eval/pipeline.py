@@ -224,7 +224,7 @@ class PipelineArtifacts:
     offline_training_seconds: dict[str, float] = field(default_factory=dict)
     samples_by_name: dict[str, LabeledSample] = field(default_factory=dict)
     #: Shared frozen-GNN forward cache over the train and test splits;
-    #: explainer training and the experiments read Z / predictions from
+    #: CFGExplainer training and PGExplainer read Z / predictions from
     #: it instead of re-running Φ.
     embedding_cache: EmbeddingCache | None = None
     #: Ingestion quarantine report (repro.harden), present when the
@@ -290,12 +290,11 @@ def _explainers(
     gnn: GCNClassifier,
     theta: CFGExplainerModel,
     pg: PGExplainerBaseline,
-    embedding_cache: EmbeddingCache,
     seed: int,
 ) -> dict[str, Explainer]:
     """The five explainers a pipeline run serves, in table order."""
     return {
-        "CFGExplainer": CFGExplainer(gnn, theta, embedding_cache=embedding_cache),
+        "CFGExplainer": CFGExplainer(gnn, theta),
         "GNNExplainer": GNNExplainerBaseline(
             gnn, epochs=config.gnnexplainer_epochs, seed=seed
         ),
@@ -360,7 +359,7 @@ def build_untrained_artifacts(config: ExperimentConfig) -> PipelineArtifacts:
         scaler=scaler,
         gnn=gnn,
         gnn_test_accuracy=float("nan"),
-        explainers=_explainers(config, gnn, theta, pg, embedding_cache, config.seed),
+        explainers=_explainers(config, gnn, theta, pg, config.seed),
         samples_by_name={s.program.name: s for s in corpus},
         embedding_cache=embedding_cache,
         quarantine=dataset.quarantine,
@@ -619,7 +618,7 @@ def run_pipeline(
         scaler=scaler,
         gnn=gnn,
         gnn_test_accuracy=gnn_accuracy,
-        explainers=_explainers(config, gnn, theta, pg, embedding_cache, rng_seed),
+        explainers=_explainers(config, gnn, theta, pg, rng_seed),
         offline_training_seconds=offline,
         samples_by_name={s.program.name: s for s in corpus},
         embedding_cache=embedding_cache,

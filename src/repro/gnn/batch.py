@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.acfg.graph import ACFG
 from repro.gnn.cache import AHatCache
+from repro.gnn.normalize import masked_normalized_csr, normalized_csr, self_looped_edges
 from repro.nn.backend import KernelWorkspace
 from repro.nn.sparse import CSRMatrix
 
@@ -61,14 +62,11 @@ def _graph_block(
     """One graph's CSR Â block and active-node mask."""
     if graph.n == 0:
         raise ValueError(f"graph {graph.name!r} has no nodes")
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[: graph.n_real] = True
+    mask = np.arange(graph.n) < graph.n_real
     if a_hat_cache is not None:
         key = graph.content_key() if isinstance(graph, ACFG) else None
-        return a_hat_cache.get_csr(graph.adjacency, mask, key=key), mask
-    from repro.gnn.normalize import normalized_adjacency_csr
-
-    return CSRMatrix(normalized_adjacency_csr(graph.adjacency, mask)), mask
+        return a_hat_cache.get_csr(graph.adjacency, graph.n_real, key=key), mask
+    return CSRMatrix(normalized_csr(graph.adjacency, graph.n_real)), mask
 
 
 @dataclass(frozen=True)
@@ -239,10 +237,7 @@ def iter_perturbation_batches(
     rest as :meth:`ACFG.subgraph_adjacency` / :meth:`ACFG.masked_features`
     do.  Each copy contributes its real rows only; chunks hold at most
     :data:`PERTURBATION_ROW_BUDGET` rows (and at least one copy).
-    Assumes the ACFG padding invariant: padded nodes have no edges.
     """
-    from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
-
     if graph.n == 0:
         raise ValueError(f"graph {graph.name!r} has no nodes")
     width = max(graph.n_real, 1)  # an all-padding graph still pools one row

@@ -9,8 +9,7 @@ Two cost centers dominated the seed pipeline's redundant work:
 * Every explainer independently re-ran the frozen Φ over the training
   and test graphs to get embeddings Z and the predicted class.
   :class:`EmbeddingCache` computes them once — in batched passes — and
-  hands them to CFGExplainer training, PGExplainer's offline stage and
-  the Figure 2 / Tables III–IV experiments.
+  hands them to CFGExplainer training (Algorithm 1) and PGExplainer.
 
 Keys are content hashes (array bytes), not object identities, so a
 caller that mutates an array in place never gets a stale entry.  Callers
@@ -28,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator
 import numpy as np
 
 from repro.acfg.graph import content_digest as _digest
-from repro.gnn.normalize import normalized_adjacency_csr
+from repro.gnn.normalize import normalized_csr
 from repro.nn.sparse import CSRMatrix
 from repro.obs import add_counter
 
@@ -69,25 +68,23 @@ class AHatCache:
     def get_csr(
         self,
         adjacency: np.ndarray,
-        active_mask: np.ndarray | None = None,
+        n_real: int | None = None,
         key: bytes | None = None,
     ) -> CSRMatrix:
-        """Â in CSR form, computed at most once per content key.
+        """Â in CSR form (:func:`repro.gnn.normalize.normalized_csr`),
+        computed at most once per content key.
 
-        ``key`` short-circuits the content hash when the caller already
-        holds the digest (``ACFG.content_key()``); it must equal what
-        :func:`repro.acfg.graph.content_digest` yields for
-        ``(adjacency, mask)`` — graph-keyed and array-keyed callers
-        then share cache entries.
+        ``n_real`` (default: every node) counts the real nodes, which
+        lead the padding.  ``key`` short-circuits the content hash when
+        the caller already holds the digest (``ACFG.content_key()``); it
+        must equal what :func:`repro.acfg.graph.content_digest` yields
+        for ``(adjacency, mask)``, the mask marking the real nodes —
+        graph-keyed and array-keyed callers then share cache entries.
         """
         adjacency = np.asarray(adjacency, dtype=np.float64)
-        mask = (
-            np.ones(adjacency.shape[0], dtype=bool)
-            if active_mask is None
-            else np.asarray(active_mask, dtype=bool)
-        )
+        n_real = adjacency.shape[0] if n_real is None else n_real
         if key is None:
-            key = _digest(adjacency, mask)
+            key = _digest(adjacency, np.arange(adjacency.shape[0]) < n_real)
         entry = self._entries.get(key)
         if entry is not None:
             self.hits += 1
@@ -96,7 +93,7 @@ class AHatCache:
             return entry
         self.misses += 1
         add_counter("cache.a_hat.misses")
-        entry = self._entries[key] = CSRMatrix(normalized_adjacency_csr(adjacency, mask))
+        entry = self._entries[key] = CSRMatrix(normalized_csr(adjacency, n_real))
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
         return entry
@@ -123,9 +120,9 @@ class EmbeddingCache:
     """Shared store of frozen-GNN forward results, filled in batches.
 
     The pipeline populates it right after classifier training; explainer
-    training (:func:`repro.core.training.precompute_embeddings`),
-    PGExplainer's offline stage and Algorithm 2's first rung then reuse
-    Z / the predicted class instead of re-running Φ per consumer.
+    training (:func:`repro.core.training.precompute_embeddings`) and
+    PGExplainer then reuse Z / the predicted class instead of re-running
+    Φ per consumer.
     """
 
     def __init__(self, model: "GCNClassifier"):

@@ -114,8 +114,9 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
     forward, ``subgraph_proba_batch`` against a dense forward of each
     subgraph, ``weighted_edge_proba`` at a unit mask against the dense
     forward, CFExplainer's renormalized edge Â at all-keep against the
-    dense Â, and Algorithm 2's rung Â and node order exactly against
-    the dense oracle.
+    dense Â, ``AHatCache.get_csr`` bit for bit against the scipy
+    builder, and Algorithm 2's rung Â and node order exactly against
+    the dense Â and the dense oracle.
     """
     import numpy as np
 
@@ -123,8 +124,8 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
     from repro.core import CFGExplainerModel, interpret
     from repro.core.interpret import rung_a_hat
     from repro.explain.counterfactual import RenormalizedEdges
-    from repro.gnn import GCNClassifier, GraphBatch
-    from repro.gnn.normalize import normalized_adjacency_csr, self_looped_edges
+    from repro.gnn import AHatCache, GCNClassifier, GraphBatch
+    from repro.gnn.normalize import self_looped_edges
     from repro.malgen import generate_corpus
     from repro.nn import Tensor, no_grad
 
@@ -177,12 +178,18 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
         off_support = np.ones_like(dense, dtype=bool)
         off_support[edges.rows, edges.cols] = False
         worst_edges = max(worst_edges, float(np.max(np.abs(dense[off_support]), initial=0.0)))
+        csr = AHatCache().get_csr(graph.adjacency, n_real).matrix
+        built = reference.normalized_adjacency_csr(graph.adjacency, active)
+        mismatches += not all(
+            np.array_equal(getattr(csr, part), getattr(built, part))
+            for part in ("indptr", "indices", "data")
+        )
         keep = rng.random(n_real) < 0.5
-        rung = normalized_adjacency_csr(graph.subgraph_adjacency(np.flatnonzero(keep)), active)
+        rung = reference.dense_a_hat(graph.subgraph_adjacency(np.flatnonzero(keep)), active)
         rows, cols, values = rung_a_hat(self_looped_edges(graph.adjacency, n_real), keep)
         rung_edges = np.zeros((n_real, n_real))
         rung_edges[rows, cols] = values
-        mismatches += not np.array_equal(rung_edges, rung.toarray()[:n_real, :n_real])
+        mismatches += not np.array_equal(rung_edges, rung[:n_real, :n_real])
         expected = dense_interpret(theta, model, graph)[0]["node_order"]
         mismatches += not np.array_equal(interpret(theta, model, graph).node_order, expected)
     ok = max(worst, worst_subgraph, worst_edges) <= tolerance and not mismatches
@@ -192,7 +199,7 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
         f"max |batched - per-graph| = {worst:.3e}, "
         f"max |batched - dense| over {4 * len(dataset)} subgraphs = "
         f"{worst_subgraph:.3e}, max |edge list - dense| = {worst_edges:.3e}, "
-        f"Algorithm 2 mismatches = {mismatches} "
+        f"Â / Algorithm 2 mismatches = {mismatches} "
         f"({status})"
     )
     return ok

@@ -8,6 +8,9 @@ against:
 
 * :func:`dense_a_hat` — the dense ``[N, N]`` normalized adjacency Â,
   the oracle for ``repro.gnn.normalize``;
+* :func:`normalized_adjacency_csr` — the same Â built through scipy's
+  sparse constructors for any active-node mask, the bitwise oracle for
+  ``AHatCache.get_csr``;
 * :func:`dense_embed_a_hat` — Φ_e as ``relu(Â @ (X @ W) + b)`` per
   layer, with inactive rows masked to zero after every layer; Â may be
   a differentiable :class:`~repro.nn.Tensor`;
@@ -27,6 +30,7 @@ against:
 """
 
 import numpy as np
+from scipy import sparse
 
 from repro.nn import Adam, Tensor, cross_entropy, no_grad
 
@@ -55,6 +59,42 @@ def dense_a_hat(adjacency, active_mask=None):
     nonzero = degree > 0
     inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
     return with_loops * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def normalized_adjacency_csr(adjacency, active_mask=None):
+    """:func:`dense_a_hat` in CSR form, through scipy's constructors.
+
+    The dense input is scanned once for its nonzeros; symmetrization,
+    self-loops and the degree run on the sparse structure, and entries
+    are scaled in the dense form's ``(w * r) * c`` order.
+    """
+    adjacency = np.asarray(adjacency, dtype=np.float64)
+    n = adjacency.shape[0]
+    if adjacency.shape != (n, n):
+        raise ValueError(f"adjacency must be square, got {adjacency.shape}")
+    if active_mask is None:
+        active = np.ones(n, dtype=bool)
+    else:
+        active = np.asarray(active_mask, dtype=bool)
+        if active.shape != (n,):
+            raise ValueError(f"mask shape {active.shape} != ({n},)")
+
+    rows, cols = np.nonzero(adjacency)
+    matrix = sparse.csr_matrix(
+        (adjacency[rows, cols], (rows, cols)), shape=(n, n), dtype=np.float64
+    )
+    symmetric = matrix.maximum(matrix.T.tocsr()).tocsr()
+    with_loops = (
+        symmetric + sparse.diags(active.astype(np.float64), format="csr")
+    ).tocsr()
+
+    degree = np.asarray(with_loops.sum(axis=1)).ravel()
+    inv_sqrt = np.zeros_like(degree)
+    nonzero = degree > 0
+    inv_sqrt[nonzero] = 1.0 / np.sqrt(degree[nonzero])
+    with_loops.data *= np.repeat(inv_sqrt, np.diff(with_loops.indptr))
+    with_loops.data *= inv_sqrt[with_loops.indices]
+    return with_loops
 
 
 def scatter2d(values, shape, rows, cols):
@@ -87,18 +127,17 @@ def dense_embed_a_hat(model, a_hat, features, active_mask):
 def dense_embed(model, adjacency, features, active_mask):
     """Padded node embeddings ``[N, f]``, inactive rows zero.
 
-    Â is the model's cached CSR Â filled dense, as the replaced engine
-    filled it.
+    Â is :func:`normalized_adjacency_csr` filled dense, as the replaced
+    engine filled it.
     """
-    a_hat = model.a_hat_cache.get_csr(adjacency, active_mask).toarray()
+    a_hat = normalized_adjacency_csr(adjacency, active_mask).toarray()
     return dense_embed_a_hat(model, a_hat, features, active_mask)
 
 
 def graph_a_hat(model, graph):
     """``graph``'s dense Â (the model's cached CSR Â, keyed by the graph)."""
-    active = np.arange(graph.n) < graph.n_real
     key = graph.content_key()
-    return model.a_hat_cache.get_csr(graph.adjacency, active, key=key).toarray()
+    return model.a_hat_cache.get_csr(graph.adjacency, graph.n_real, key=key).toarray()
 
 
 def dense_forward(model, graph, a_hat=None):

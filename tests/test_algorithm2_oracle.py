@@ -1,19 +1,24 @@
 """Algorithm 2 on the edge list: the dense oracle.
 
-``interpret`` re-embeds every pruned rung on the real rows, with Â
-given to ``GCNClassifier.embed`` as an edge list.  The oracle below is
-the padded dense body it replaced: a dense adjacency copy whose pruned
-rows and columns are zeroed, one dense reference forward per rung
-(``tests/reference_training.py``), the full-graph rung from the
-embedding cache (stored on a miss), and one N×N snapshot per rung.
-Both prune on ``rank_by_score``'s key, the scores rounded to
-``RANK_DECIMALS``, so summation order cannot reorder near-ties.
-Contract: ``node_order``, every level's ``kept_nodes`` and
-``predicted_class`` are ``np.array_equal``, and ``node_scores`` agree
-within 1e-12, with and without an embedding cache, on padded and
-unpadded graphs and the edge cases (self-jump blocks, weight-2 call
-edges, edgeless, single node, disconnected, a generated graph whose
-raw-score sort would disagree) and without feature masking.
+``interpret`` embeds every rung, the full graph included, on the real
+rows, with Â given to ``GCNClassifier.embed`` as an edge list, and takes
+the predicted class from the full graph's Z.  The oracle below is the
+padded dense body it replaced: a dense adjacency copy whose pruned rows
+and columns are zeroed, one dense reference forward per rung
+(``tests/reference_training.py``), optionally the full-graph rung and
+the predicted class from an embedding cache's batched forward (stored
+on a miss), and one N×N snapshot per rung.  Both prune on
+``rank_by_score``'s key, the scores rounded to ``RANK_DECIMALS``, so
+summation order cannot reorder near-ties.  Contract: ``node_order``,
+every level's ``kept_nodes`` and ``predicted_class`` are
+``np.array_equal``; ``node_scores`` agree within 1e-12 with the dense
+oracle and bit for bit with the cache-fed one; on padded and unpadded
+graphs and the edge cases (self-jump blocks, weight-2 call edges,
+edgeless, single node, disconnected, a generated graph whose raw-score
+sort would disagree) and without feature masking.
+
+The hot path itself builds no scipy matrix and runs one ``embed`` per
+scoring pass.
 """
 
 import numpy as np
@@ -26,12 +31,12 @@ from repro.explain.base import RANK_DECIMALS, level_fractions
 from repro.explain.explanation import kept_count
 from repro.gnn import EmbeddingCache
 from repro.disasm.cfg import build_cfg
-from repro.gnn.normalize import normalized_adjacency_csr, self_looped_edges
+from repro.gnn.normalize import self_looped_edges
 from repro.malgen.corpus import LabeledSample, block_motif_tags
 from repro.malgen.families import FAMILIES, generate_program
 from repro.nn import Tensor, no_grad
 from repro.obs import tracing
-from tests.reference_training import dense_embed, dense_predict
+from tests.reference_training import dense_embed, dense_predict, normalized_adjacency_csr
 
 SCORE_TOLERANCE = 1e-12
 
@@ -109,17 +114,22 @@ def dense_interpret(
 def assert_matches_oracle(theta, gnn, graph, cache=None, **kwargs):
     """``interpret`` matches the oracle; returns the oracle's snapshots.
 
-    ``interpret`` runs first so that a cold ``cache`` is still cold for
-    it; the oracle then stores the graph, as the replaced body did.
+    With a ``cache`` the oracle reads the full-graph rung from it (the
+    batched forward), storing the graph on a miss as the replaced body
+    did; ``interpret``'s first-pass scores must then equal it bit for bit.
     """
-    explanation = interpret(theta, gnn, graph, embedding_cache=cache, **kwargs)
+    explanation = interpret(theta, gnn, graph, **kwargs)
     expected, snapshots = dense_interpret(
         theta, gnn, graph, embedding_cache=cache, **kwargs
     )
     assert np.array_equal(explanation.node_order, expected["node_order"])
-    np.testing.assert_allclose(
-        explanation.node_scores, expected["node_scores"], rtol=0, atol=SCORE_TOLERANCE
-    )
+    if cache is None:
+        np.testing.assert_allclose(
+            explanation.node_scores, expected["node_scores"],
+            rtol=0, atol=SCORE_TOLERANCE,
+        )
+    else:
+        assert np.array_equal(explanation.node_scores, expected["node_scores"])
     assert len(explanation.levels) == len(expected["kept"])
     for level, kept in zip(explanation.levels, expected["kept"]):
         assert np.array_equal(level.kept_nodes, kept)
@@ -290,12 +300,12 @@ class TestRungAHat:
 
 class TestCaches:
     def test_leaves_a_hat_cache_alone(
-        self, trained_gnn, trained_theta, small_dataset, warm_cache
+        self, trained_gnn, trained_theta, small_dataset
     ):
         _, test_set = small_dataset
         before = trained_gnn.a_hat_cache.cache_info()
         for graph in test_set.graphs:
-            interpret(trained_theta, trained_gnn, graph, embedding_cache=warm_cache)
+            interpret(trained_theta, trained_gnn, graph)
         after = trained_gnn.a_hat_cache.cache_info()
         assert (after.size, after.misses) == (before.size, before.misses)
 
@@ -311,16 +321,12 @@ class TestCaches:
         engine = InferenceEngine(
             gnn=trained_gnn,
             scaler=serve_engine.scaler,
-            explainers={
-                "CFGExplainer": CFGExplainer(
-                    trained_gnn, trained_theta, embedding_cache=cache
-                )
-            },
+            explainers={"CFGExplainer": CFGExplainer(trained_gnn, trained_theta)},
             families=serve_engine.families,
         )
-        size = len(cache)
+        before = cache.cache_info()
         responses = [engine.submit(s) for s in generate_corpus(2, seed=77)[:20]]
-        assert len(cache) == size
+        assert cache.cache_info() == before  # neither read nor grown
         oracle_cache = EmbeddingCache(trained_gnn)
         for response in responses:
             assert not response.cached
@@ -328,13 +334,13 @@ class TestCaches:
             expected, _ = dense_interpret(
                 trained_theta, trained_gnn, graph, embedding_cache=oracle_cache
             )
-            np.testing.assert_allclose(
-                response.explanation.node_scores, expected["node_scores"],
-                rtol=0, atol=SCORE_TOLERANCE,
+            assert np.array_equal(
+                response.explanation.node_scores, expected["node_scores"]
             )
             assert np.array_equal(
                 response.explanation.node_order, expected["node_order"]
             )
+            assert response.explanation.predicted_class == expected["predicted_class"]
 
 
 def test_iterations_count_scoring_passes(trained_gnn, trained_theta):
@@ -345,3 +351,35 @@ def test_iterations_count_scoring_passes(trained_gnn, trained_theta):
         explainer.explain(graph, step_size=10)
     counters = tracer.aggregate()["explain.CFGExplainer"].counters
     assert counters["explain.iterations"] == 5
+
+
+def test_hot_path_builds_no_matrix_and_embeds_once_per_pass(
+    monkeypatch, trained_gnn, trained_theta, small_dataset
+):
+    """On the test split ``explain`` builds no scipy matrix, predicts what
+    ``predict`` does from the full graph's Z, and credits one
+    ``explain.iterations`` per ``embed`` call."""
+    import scipy.sparse
+
+    _, test_set = small_dataset
+    graphs = test_set.graphs
+    predicted = [trained_gnn.predict(graph) for graph in graphs]
+    explainer = CFGExplainer(trained_gnn, trained_theta)
+    embed, calls = trained_gnn.embed, []
+
+    def counted_embed(*args):
+        calls.append(args)
+        return embed(*args)
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("a scipy matrix was built")
+
+    monkeypatch.setattr(trained_gnn, "embed", counted_embed)
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", no_matrix)
+    for graph, expected in zip(graphs, predicted):
+        calls.clear()
+        with tracing() as tracer:
+            explanation = explainer.explain(graph)
+        counters = tracer.aggregate()["explain.CFGExplainer"].counters
+        assert explanation.predicted_class == expected
+        assert counters["explain.iterations"] == len(calls) > 0

@@ -228,7 +228,7 @@ class TestAHatCache:
         mask[: graph.n_real] = True
         np.testing.assert_allclose(
             dense_a_hat(graph.adjacency, mask),
-            cache.get_csr(graph.adjacency, mask).toarray(),
+            cache.get_csr(graph.adjacency, graph.n_real).toarray(),
             atol=1e-15,
         )
 

@@ -31,7 +31,6 @@ from repro.gnn.batch import (
     iter_perturbation_batches,
 )
 from repro.gnn.cache import AHatCache
-from repro.gnn.normalize import normalized_adjacency_csr
 from repro.malgen import generate_corpus
 from repro.nn import (
     Adam,
@@ -46,7 +45,12 @@ from repro.nn import (
     segment_sum,
 )
 from repro.nn import backend as kernels
-from tests.reference_training import dense_a_hat, dense_embed, train_per_graph
+from tests.reference_training import (
+    dense_a_hat,
+    dense_embed,
+    normalized_adjacency_csr,
+    train_per_graph,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,20 @@ def test_normalized_adjacency_csr_matches_dense_reference():
     np.testing.assert_allclose(via_csr, dense, atol=1e-8)
     # isolated-but-active node keeps its self-loop; padded rows stay 0
     assert via_csr[n - 1].sum() == 0.0
+
+
+def test_a_hat_cache_csr_equals_reference_builder_bitwise(small_sets):
+    """The edge-list Â is the scipy builder's, structure and values."""
+    train_set, test_set = small_sets
+    for graph in [*train_set, *test_set]:
+        for adjacency, n_real in (
+            (graph.adjacency, graph.n_real),
+            (graph.adjacency[: graph.n_real, : graph.n_real], graph.n_real),
+        ):
+            got = AHatCache().get_csr(adjacency, n_real).matrix
+            want = normalized_adjacency_csr(adjacency, np.arange(len(adjacency)) < n_real)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
 
 
 def test_fused_gcn_layer_bitwise_equals_composed():
@@ -347,11 +365,9 @@ def test_graph_content_keys_unify_with_raw_array_hashing(small_sets):
     train_set, _ = small_sets
     graph = train_set[0]
     cache = AHatCache()
-    mask = np.zeros(graph.n, dtype=bool)
-    mask[: graph.n_real] = True
     # Raw-array lookup populates; graph-keyed lookup must hit it.
-    cache.get_csr(graph.adjacency, mask)
-    cache.get_csr(graph.adjacency, mask, key=graph.content_key())
+    cache.get_csr(graph.adjacency, graph.n_real)
+    cache.get_csr(graph.adjacency, graph.n_real, key=graph.content_key())
     assert cache.cache_info().misses == 1
     assert cache.cache_info().hits == 1
 

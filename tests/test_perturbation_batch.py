@@ -21,13 +21,9 @@ from repro.explain.metrics import (
     sweep_accuracy_curve,
 )
 from repro.gnn import GCNClassifier
-from repro.gnn.normalize import (
-    masked_normalized_csr,
-    normalized_adjacency_csr,
-    self_looped_edges,
-)
+from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
 from repro.nn import no_grad
-from tests.reference_training import dense_embed
+from tests.reference_training import dense_embed, normalized_adjacency_csr
 
 TOLERANCE = 1e-12
 

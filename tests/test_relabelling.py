@@ -5,8 +5,10 @@ numbering, so a padding leak or an index mix-up common to both goes
 unseen.  Here each graph's real nodes are permuted at random (padding
 stays last), both graphs are explained, and the permuted graph's
 scores are mapped back: the deterministic explainers — Gradient,
-PGExplainer and CFGExplainer (Algorithm 2's first-pass scores) — must
-give every node the same score within 1e-12.
+PGExplainer and CFGExplainer (Algorithm 2's first-pass scores), and
+the dense Algorithm 2 oracle with its full-graph rung read from an
+embedding cache's batched forward — must give every node the same score
+within 1e-12.
 
 Only scores are compared.  Node orders may differ where
 ``rank_by_score`` breaks a 12-decimal tie by node index, which is a
@@ -20,6 +22,7 @@ does not matter.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from repro.core import CFGExplainer
 from repro.gnn import EmbeddingCache
 from repro.gnn.normalize import normalized_edges
 from repro.nn import no_grad
-from tests.test_algorithm2_oracle import EDGE_CASES
+from tests.test_algorithm2_oracle import EDGE_CASES, dense_interpret
 
 TOLERANCE = 1e-12
 
@@ -57,6 +60,21 @@ def unpadded(graph):
     )
 
 
+class CacheFedOracle:
+    """The dense Algorithm 2 oracle, its full-graph rung read from an
+    embedding cache (the batched forward)."""
+
+    name = "CFGExplainer oracle (embedding cache)"
+
+    def __init__(self, gnn, theta):
+        self.gnn, self.theta = gnn, theta
+        self.cache = EmbeddingCache(gnn)
+
+    def explain(self, graph):
+        fields, _ = dense_interpret(self.theta, self.gnn, graph, embedding_cache=self.cache)
+        return SimpleNamespace(node_scores=fields["node_scores"])
+
+
 @pytest.fixture(scope="module")
 def explainers(trained_gnn, trained_theta, small_dataset):
     """Each explainer on its edge-list forward and, where it has one, on the
@@ -72,9 +90,7 @@ def explainers(trained_gnn, trained_theta, small_dataset):
         GradientExplainer(trained_gnn),
         *pgs,
         CFGExplainer(trained_gnn, trained_theta),
-        CFGExplainer(
-            trained_gnn, trained_theta, embedding_cache=EmbeddingCache(trained_gnn)
-        ),
+        CacheFedOracle(trained_gnn, trained_theta),
     ]
 
 

@@ -24,6 +24,7 @@ from repro.baselines import GradientExplainer, PGExplainerBaseline
 from repro.baselines.gradient import max_pool_ties_evenly
 from repro.explain.base import rank_by_score
 from repro.gnn import GCNClassifier
+from repro.gnn.normalize import normalized_edges
 from repro.nn import Tensor, nll_loss_from_probs, no_grad
 from tests.reference_training import (
     dense_embed_a_hat,
@@ -140,6 +141,27 @@ def test_pgexplainer_matches_dense_reference(trained_gnn, small_dataset, graphs)
         expected_order, expected = dense.rank_nodes(graph)
         np.testing.assert_allclose(scores, expected, rtol=0, atol=TOLERANCE)
         np.testing.assert_array_equal(order, expected_order)
+
+
+def test_padding_edges_leave_both_forwards_alike(trained_gnn):
+    """Both forwards read only the real block of Â.  Edges in the padding
+    rows (the verifier's ``padding_nonzero``, reachable with verification
+    off) change neither ``predict`` nor ``embed``: the graph classifies as
+    its clean copy, and the two forwards agree on it."""
+    adjacency = np.zeros((8, 8))
+    adjacency[[0, 1, 2, 3], [1, 2, 3, 4]] = 1.0
+    clean_adjacency = adjacency.copy()
+    adjacency[4, 6] = adjacency[6, 7] = 1.0
+    features = np.zeros((8, 12))
+    features[:5] = np.random.default_rng(4).random((5, 12))
+    graph = ACFG(adjacency, features, label=0, family="toy", n_real=5)
+    clean = ACFG(clean_adjacency, features, label=0, family="toy", n_real=5)
+    probs = trained_gnn.predict_proba(graph)
+    assert np.array_equal(probs, trained_gnn.predict_proba(clean))
+    with no_grad():
+        z = trained_gnn.embed(*normalized_edges(adjacency, 5), features[:5])
+        via_embed = trained_gnn.classify(z).numpy()
+    np.testing.assert_allclose(probs, via_embed, rtol=0, atol=TOLERANCE)
 
 
 def test_tied_max_pool_splits_gradient_evenly():
