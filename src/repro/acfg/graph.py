@@ -4,6 +4,12 @@ Follows Section II-A: ``A ∈ {0,1,2}^{N×N}`` (1 = fallthrough/jump,
 2 = call), ``X ∈ R^{N×d}`` with d = 12.  Graphs are padded to a fixed
 ``N`` with zero-feature, zero-edge temporary nodes exactly as the paper
 does for its GCN (Section V-A).
+
+The graph owns its real-node edge list
+(:meth:`ACFG.self_looped_edges`): the dense real block is scanned once
+per graph, and every normalized adjacency Â the classifier, the
+explainers and the metrics use is derived from that list
+(:mod:`repro.gnn.normalize`).
 """
 
 from __future__ import annotations
@@ -22,10 +28,9 @@ __all__ = ["ACFG", "content_digest", "from_sample"]
 def content_digest(*arrays: np.ndarray) -> bytes:
     """SHA1 over the shapes and bytes of ``arrays``.
 
-    The canonical content key used by every cache that must survive
-    in-place buffer mutation (:class:`repro.gnn.cache.AHatCache`,
-    :class:`repro.gnn.cache.EmbeddingCache`): equal digests ⇔ equal
-    shape and equal bytes, regardless of which objects hold them.
+    The content key of :class:`repro.gnn.cache.EmbeddingCache` (through
+    :meth:`ACFG.embed_key`): equal digests ⇔ equal shape and equal
+    bytes, regardless of which objects hold them.
     """
     hasher = hashlib.sha1()
     for array in arrays:
@@ -51,9 +56,9 @@ class ACFG:
     name: str = "acfg"
     n_real: int | None = None
     block_tags: tuple[frozenset[str], ...] = field(default_factory=tuple)
-    # Lazily cached content digests (see content_key / embed_key).
+    # Lazily computed memos (see self_looped_edges / embed_key).
     # Excluded from init/repr/eq; dataclasses.replace() resets them.
-    _content_key: bytes | None = field(
+    _edges: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
     _embed_key: bytes | None = field(
@@ -127,21 +132,21 @@ class ACFG:
         keep[nodes[(nodes >= 0) & (nodes < self.n_real)]] = False
         return np.flatnonzero(keep)
 
-    def content_key(self) -> bytes:
-        """Digest of (adjacency, active-node mask) — the Â cache key.
+    def self_looped_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, weights)`` of ``max(A, Aᵀ) + I`` on the real nodes.
 
-        Byte-identical to what :class:`repro.gnn.cache.AHatCache`
-        derives from the raw arrays, so graph-keyed and array-keyed
-        lookups share entries.  Cached after the first call; anything
-        that mutates ``adjacency``/``features``/``n_real`` in place
-        (e.g. the structured fuzzer) must call
-        :meth:`invalidate_content_keys`.
+        Call edges weigh 2; control-flow edges are symmetrized, as PyG's
+        GCNConv does for directed inputs.  Entries are restricted to the
+        first ``n_real`` nodes and listed row-major (columns ascending
+        within a row); a self-loop already in ``A`` is merged with the
+        added one.  Computed once and shared, so the arrays are
+        read-only; anything that mutates ``adjacency`` or ``n_real`` in
+        place (e.g. the structured fuzzer) must call
+        :meth:`invalidate_memos`.
         """
-        if self._content_key is None:
-            mask = np.zeros(self.n, dtype=bool)
-            mask[: self.n_real] = True
-            self._content_key = content_digest(self.adjacency, mask)
-        return self._content_key
+        if self._edges is None:
+            self._edges = _real_edges(self.adjacency, self.n_real)
+        return self._edges
 
     def embed_key(self) -> bytes:
         """Digest of (adjacency, features, n_real) — the frozen-forward
@@ -152,9 +157,9 @@ class ACFG:
             )
         return self._embed_key
 
-    def invalidate_content_keys(self) -> None:
-        """Drop cached digests after an in-place payload mutation."""
-        self._content_key = None
+    def invalidate_memos(self) -> None:
+        """Drop the edge list and the digest after an in-place mutation."""
+        self._edges = None
         self._embed_key = None
 
     def masked_features(self, kept_nodes: np.ndarray) -> np.ndarray:
@@ -162,6 +167,21 @@ class ACFG:
         keep = np.zeros(self.n, dtype=bool)
         keep[np.asarray(kept_nodes, dtype=int)] = True
         return self.features * keep[:, None]
+
+
+def _real_edges(
+    adjacency: np.ndarray, n_real: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`ACFG.self_looped_edges` of ``adjacency``: one scan of its
+    real block, returned as read-only arrays."""
+    real = np.asarray(adjacency, dtype=np.float64)[:n_real, :n_real]
+    with_loops = np.maximum(real, real.T)
+    with_loops[np.diag_indices(n_real)] += 1.0
+    rows, cols = np.nonzero(with_loops)
+    edges = (rows, cols, with_loops[rows, cols])
+    for array in edges:
+        array.flags.writeable = False
+    return edges
 
 
 def from_sample(sample: LabeledSample, pad_to: int | None = None) -> ACFG:

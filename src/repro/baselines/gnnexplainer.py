@@ -19,7 +19,7 @@ import numpy as np
 from repro.acfg.graph import ACFG
 from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import normalized_edges, self_looped_edges
+from repro.gnn.normalize import normalized_edges
 from repro.nn import Adam, Tensor, nll_loss_from_probs
 
 __all__ = ["GNNExplainerBaseline", "edge_mass_node_scores"]
@@ -74,7 +74,7 @@ class GNNExplainerBaseline(RankingExplainer):
         self.seed = seed
 
     def rank_nodes(self, graph: ACFG) -> tuple[np.ndarray, np.ndarray]:
-        rows, cols, _ = self_looped_edges(graph.adjacency, graph.n_real)
+        rows, cols, _ = graph.self_looped_edges()
         scores = edge_mass_node_scores(
             rows, cols, self.optimize_mask(graph), graph.n_real
         )
@@ -92,7 +92,7 @@ class GNNExplainerBaseline(RankingExplainer):
         parameterization used, so a seed gives the same mask.
         """
         rng = np.random.default_rng(self.seed)
-        rows, cols, a_hat = normalized_edges(graph.adjacency, graph.n_real)
+        rows, cols, a_hat = normalized_edges(graph)
         a_hat = Tensor(a_hat)
         target = self.model.predict(graph)
 

@@ -53,7 +53,7 @@ class GradientExplainer(RankingExplainer):
         x = Tensor(
             np.asarray(graph.features[:n_real], dtype=np.float64), requires_grad=True
         )
-        z = self.model.embed(*normalized_edges(graph.adjacency, n_real), x)
+        z = self.model.embed(*normalized_edges(graph), x)
         logits = self.model.classifier(max_pool_ties_evenly(z)).reshape(-1)
         seed = np.zeros_like(logits.numpy())
         seed[int(np.argmax(logits.numpy()))] = 1.0

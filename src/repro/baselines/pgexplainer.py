@@ -65,7 +65,7 @@ class PGTrainingHistory:
 class _GraphCache:
     """Frozen per-graph quantities reused across training epochs.
 
-    ``(rows, cols, a_hat)`` lists the real-node Â.  Stored entry *k* is
+    ``(rows, cols, values)`` lists the real-node Â.  Stored entry *k* is
     scaled by mask entry ``slot[k]``; self-loops stay unmasked, as in
     the original (the explanation concerns edges between blocks), so
     their slot is ``E``, a constant 1.
@@ -73,7 +73,7 @@ class _GraphCache:
 
     rows: np.ndarray
     cols: np.ndarray
-    a_hat: np.ndarray
+    values: np.ndarray
     slot: np.ndarray
     edges: np.ndarray  # [E, 2] endpoints of the off-diagonal entries
     edge_embeddings: np.ndarray  # [E, 2f]
@@ -156,7 +156,7 @@ class PGExplainerBaseline(RankingExplainer):
 
         scale = Tensor.concatenate([soft_mask, Tensor(np.ones(1))])[cache.slot]
         z = self.model.embed(
-            cache.rows, cache.cols, Tensor(cache.a_hat) * scale, cache.features
+            cache.rows, cache.cols, Tensor(cache.values) * scale, cache.features
         )
         probs = self.model.classify(z)
         prediction_loss = nll_loss_from_probs(probs, cache.target, eps=1e-12)
@@ -187,7 +187,7 @@ class PGExplainerBaseline(RankingExplainer):
     # shared plumbing
     # ------------------------------------------------------------------
     def _cache_graph(self, graph: ACFG) -> "_GraphCache":
-        rows, cols, a_hat = normalized_edges(graph.adjacency, graph.n_real)
+        rows, cols, a_hat = normalized_edges(graph)
         off = rows != cols
         edges = np.stack([rows[off], cols[off]], axis=1)
         slot = np.full(rows.size, len(edges))
@@ -203,7 +203,7 @@ class PGExplainerBaseline(RankingExplainer):
         return _GraphCache(
             rows=rows,
             cols=cols,
-            a_hat=a_hat,
+            values=a_hat,
             slot=slot,
             edges=edges,
             edge_embeddings=np.concatenate([z[edges[:, 0]], z[edges[:, 1]]], axis=1),

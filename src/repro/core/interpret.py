@@ -26,7 +26,7 @@ from repro.explain.base import (
 )
 from repro.explain.explanation import Explanation, kept_count
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import normalized_values, self_looped_edges
+from repro.gnn.normalize import normalized_values
 from repro.nn import Tensor, no_grad
 from repro.obs import add_counter, span as obs_span
 
@@ -78,7 +78,7 @@ def interpret(
         raise ValueError("cannot interpret a graph with no real nodes")
     n_real = graph.n_real
 
-    edges = self_looped_edges(graph.adjacency, n_real)
+    edges = graph.self_looped_edges()
     features = np.asarray(graph.features[:n_real], dtype=np.float64).copy()
     keep = np.ones(n_real, dtype=bool)
 

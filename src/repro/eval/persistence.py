@@ -303,10 +303,7 @@ def load_models_into(
     pg._trained = True
 
     # Forwards cached against the pre-load weights are stale; rebuild
-    # them so explainers and experiments read post-restore values.  (Â
-    # depends only on graph content, but it is cheap to recompute and a
-    # cleared cache can never serve a stale entry.)
-    artifacts.gnn.a_hat_cache.clear()
+    # them so explainers and experiments read post-restore values.
     if artifacts.embedding_cache is not None:
         artifacts.embedding_cache.clear()
         batch = artifacts.config.eval_batch_size

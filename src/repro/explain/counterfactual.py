@@ -50,7 +50,6 @@ import numpy as np
 from repro.acfg.graph import ACFG
 from repro.explain.base import RankingExplainer, rank_by_score
 from repro.gnn.model import GCNClassifier
-from repro.gnn.normalize import self_looped_edges
 from repro.nn import Adam, Tensor, no_grad, segment_sum
 from repro.nn.guards import NumericalError, clip_grad_norm
 
@@ -149,7 +148,7 @@ class CFExplainer(RankingExplainer):
         n, n_real = graph.n, graph.n_real
         original = self.model.predict(graph)
 
-        edges = RenormalizedEdges(graph.adjacency, n_real)
+        edges = RenormalizedEdges(graph)
         if edges.count == 0:
             # Single-node or edgeless graph: there is nothing to delete,
             # so no counterfactual of this form exists.  Degrade.
@@ -260,8 +259,7 @@ class CFExplainer(RankingExplainer):
         """The model's honest prediction after deleting edges ``deleted``.
 
         Both directions are zeroed and Â is renormalized from the edited
-        edge list — never through the model's content-keyed Â cache,
-        which must not see these transient edits.
+        edge list; the graph and its memoized edge list stay untouched.
         """
         keep = np.ones(edges.count)
         keep[deleted] = 0.0
@@ -305,15 +303,16 @@ class RenormalizedEdges:
     """CFExplainer's propagation matrix as a function of per-edge keeps.
 
     ``rows``/``cols``/``weights`` list ``max(A, Aᵀ) + I`` on the real
-    nodes (:func:`repro.gnn.normalize.self_looped_edges`).  The
+    nodes (:meth:`repro.acfg.graph.ACFG.self_looped_edges`).  The
     undirected edges ``(iu[e], ju[e])``, ``iu < ju``, are its
     off-diagonal entries in row-major (``np.triu``) order; ``slot`` maps
     every stored entry to its edge, or to ``count`` for the diagonal —
     the self-loop plus any self-jump weight, which stays constant.
     """
 
-    def __init__(self, adjacency: np.ndarray, n_real: int):
-        self.rows, self.cols, self.weights = self_looped_edges(adjacency, n_real)
+    def __init__(self, graph: ACFG):
+        n_real = graph.n_real
+        self.rows, self.cols, self.weights = graph.self_looped_edges()
         upper = self.rows < self.cols
         self.iu, self.ju = self.rows[upper], self.cols[upper]
         self.count = int(self.iu.size)

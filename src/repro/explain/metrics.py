@@ -214,9 +214,9 @@ def edit_size(explanations: list[Explanation], fraction: float) -> float:
     shares = []
     for explanation in explanations:
         graph = explanation.graph
-        real = graph.adjacency[: graph.n_real, : graph.n_real]
-        sym = np.maximum(real, real.T)
-        iu, ju = np.nonzero(np.triu(sym, k=1))
+        rows, cols, _ = graph.self_looped_edges()
+        upper = rows < cols  # row-major, as np.triu lists them
+        iu, ju = rows[upper], cols[upper]
         if iu.size == 0:
             shares.append(0.0)
             continue

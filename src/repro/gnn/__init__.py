@@ -7,12 +7,11 @@ per-dimension max of all node embeddings.
 """
 
 from repro.gnn.batch import BatchPacker, GraphBatch, iter_batches
-from repro.gnn.cache import AHatCache, CachedForward, EmbeddingCache
+from repro.gnn.cache import CachedForward, EmbeddingCache
 from repro.gnn.model import GCNClassifier
 from repro.gnn.train import TrainingHistory, evaluate_accuracy, train_gnn
 
 __all__ = [
-    "AHatCache",
     "CachedForward",
     "EmbeddingCache",
     "BatchPacker",

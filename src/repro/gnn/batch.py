@@ -21,9 +21,11 @@ mask and pooling semantics bit-for-bit.
 :func:`iter_perturbation_batches` packs many node-masked copies of
 *one* graph instead — the perturbations SubgraphX and the subgraph
 metrics score.  It packs only the real rows of each copy (padding is
-inert: its all-zero embeddings never change a maximum) and derives
-every copy's Â from the graph's edge list rather than through an
-:class:`AHatCache`, whose entries would never be reused.
+inert: its all-zero embeddings never change a maximum).
+
+Every Â here is derived in O(E) from the graph's memoized edge list
+(:meth:`repro.acfg.graph.ACFG.self_looped_edges`), so a graph's dense
+adjacency is scanned once however often it is packed.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.acfg.graph import ACFG
-from repro.gnn.cache import AHatCache
-from repro.gnn.normalize import masked_normalized_csr, normalized_csr, self_looped_edges
+from repro.gnn.normalize import block_normalized_csr, masked_normalized_csr
 from repro.nn.backend import KernelWorkspace
 from repro.nn.sparse import CSRMatrix
 
@@ -54,19 +55,6 @@ __all__ = [
 #: benchmark's peak RSS (2-core x86-64 Linux) from 280 MB to
 #: 331-343 MB; with this budget it stays at 280 MB.
 PERTURBATION_ROW_BUDGET = 8192
-
-
-def _graph_block(
-    graph: ACFG, a_hat_cache: AHatCache | None
-) -> tuple[CSRMatrix, np.ndarray]:
-    """One graph's CSR Â block and active-node mask."""
-    if graph.n == 0:
-        raise ValueError(f"graph {graph.name!r} has no nodes")
-    mask = np.arange(graph.n) < graph.n_real
-    if a_hat_cache is not None:
-        key = graph.content_key() if isinstance(graph, ACFG) else None
-        return a_hat_cache.get_csr(graph.adjacency, graph.n_real, key=key), mask
-    return CSRMatrix(normalized_csr(graph.adjacency, graph.n_real)), mask
 
 
 @dataclass(frozen=True)
@@ -104,44 +92,28 @@ class GraphBatch:
     def from_graphs(
         cls,
         graphs: Sequence[ACFG],
-        a_hat_cache: AHatCache | None = None,
         workspace: KernelWorkspace | None = None,
     ) -> "GraphBatch":
         """Pack ``graphs`` (any mix of sizes) into one batch.
 
-        ``a_hat_cache`` memoizes each graph's Â (and its CSR block), so
-        re-packing the same graphs across epochs only pays for the
-        block-diagonal assembly.
+        The block-diagonal Â is assembled from each graph's memoized
+        edge list in one pass (:func:`block_normalized_csr`), so
+        re-packing the same graphs across epochs never rescans their
+        dense adjacency.
         """
         if not graphs:
             raise ValueError("cannot batch zero graphs")
-        pairs = [_graph_block(graph, a_hat_cache) for graph in graphs]
-        features = [np.asarray(g.features, dtype=np.float64) for g in graphs]
-        return cls._assemble(
-            tuple(graphs),
-            [b for b, _ in pairs],
-            [m for _, m in pairs],
-            features,
-            workspace,
-        )
-
-    @classmethod
-    def _assemble(
-        cls,
-        graphs: tuple[ACFG, ...],
-        blocks: list[CSRMatrix],
-        masks: list[np.ndarray],
-        features: list[np.ndarray],
-        workspace: KernelWorkspace | None = None,
-    ) -> "GraphBatch":
+        for graph in graphs:
+            if graph.n == 0:
+                raise ValueError(f"graph {graph.name!r} has no nodes")
         sizes = np.array([g.n for g in graphs], dtype=np.intp)
         offsets = np.zeros(len(graphs) + 1, dtype=np.intp)
         np.cumsum(sizes, out=offsets[1:])
         return cls(
-            a_hat=CSRMatrix.block_diagonal(blocks),
-            features=np.vstack(features),
+            a_hat=CSRMatrix(block_normalized_csr(graphs)),
+            features=np.vstack([np.asarray(g.features, dtype=np.float64) for g in graphs]),
             segment_ids=np.repeat(np.arange(len(graphs), dtype=np.intp), sizes),
-            active_mask=np.concatenate(masks),
+            active_mask=np.concatenate([np.arange(g.n) < g.n_real for g in graphs]),
             labels=np.array([g.label for g in graphs], dtype=np.intp),
             offsets=offsets,
             graphs=tuple(graphs),
@@ -150,30 +122,16 @@ class GraphBatch:
 
 
 class BatchPacker:
-    """Precomputed per-graph blocks for repeated epoch iteration.
+    """Repeated batching of one graph list over a shared workspace.
 
-    ``GraphBatch.from_graphs`` pays a content-hash lookup (or a fresh
-    normalization) per graph per batch, which a multi-epoch training
-    loop repeats every epoch.  The packer resolves each graph's CSR Â,
-    mask and float features exactly once at construction; per-epoch
-    batch assembly is then only block-diagonal stacking.  It also owns
-    the :class:`~repro.nn.backend.KernelWorkspace` every batch it
-    yields shares, so all epochs reuse one set of kernel buffers.  Use
-    it when the same graph list is batched many times (training);
-    one-shot passes (evaluation, cache population) can keep
-    :func:`iter_batches`.
+    It owns the :class:`~repro.nn.backend.KernelWorkspace` every batch
+    it yields shares, so all epochs of a training loop reuse one set of
+    kernel buffers; each graph's edge list is memoized on the graph, so
+    an epoch's packing only normalizes and stacks.
     """
 
-    def __init__(
-        self, graphs: "Iterable[ACFG]", a_hat_cache: AHatCache | None = None
-    ):
+    def __init__(self, graphs: "Iterable[ACFG]"):
         self.graphs = list(graphs)
-        pairs = [_graph_block(graph, a_hat_cache) for graph in self.graphs]
-        self._blocks = [block for block, _ in pairs]
-        self._masks = [mask for _, mask in pairs]
-        self._features = [
-            np.asarray(g.features, dtype=np.float64) for g in self.graphs
-        ]
         self.workspace = KernelWorkspace()
 
     def __len__(self) -> int:
@@ -182,20 +140,21 @@ class BatchPacker:
     def batches(
         self, batch_size: int, order: np.ndarray | None = None
     ) -> Iterator[GraphBatch]:
-        """Yield batches of ``batch_size`` graphs in ``order``."""
+        """Yield batches of ``batch_size`` graphs in ``order``.
+
+        ``order`` (a permutation of indices) controls the traversal, so
+        a training loop can shuffle per epoch while evaluation keeps the
+        natural order.
+        """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         indices = (
             np.arange(len(self.graphs)) if order is None else np.asarray(order)
         )
         for start in range(0, len(indices), batch_size):
-            chunk = [int(i) for i in indices[start : start + batch_size]]
-            yield GraphBatch._assemble(
-                tuple(self.graphs[i] for i in chunk),
-                [self._blocks[i] for i in chunk],
-                [self._masks[i] for i in chunk],
-                [self._features[i] for i in chunk],
-                self.workspace,
+            chunk = indices[start : start + batch_size]
+            yield GraphBatch.from_graphs(
+                [self.graphs[int(i)] for i in chunk], self.workspace
             )
 
 
@@ -203,28 +162,10 @@ def iter_batches(
     graphs: "Iterable[ACFG]",
     batch_size: int,
     order: np.ndarray | None = None,
-    a_hat_cache: AHatCache | None = None,
 ) -> Iterator[GraphBatch]:
-    """Yield :class:`GraphBatch` chunks of ``batch_size`` graphs.
-
-    ``order`` (a permutation of indices) controls the traversal, so a
-    training loop can shuffle per epoch while evaluation keeps the
-    natural order.  All yielded batches share one
-    :class:`~repro.nn.backend.KernelWorkspace` for the duration of the
-    pass.
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    graphs = list(graphs)
-    workspace = KernelWorkspace()
-    indices = np.arange(len(graphs)) if order is None else np.asarray(order)
-    for start in range(0, len(indices), batch_size):
-        chunk = indices[start : start + batch_size]
-        yield GraphBatch.from_graphs(
-            [graphs[int(i)] for i in chunk],
-            a_hat_cache=a_hat_cache,
-            workspace=workspace,
-        )
+    """Yield :class:`GraphBatch` chunks of ``batch_size`` graphs in
+    ``order``, all sharing one workspace for the duration of the pass."""
+    return BatchPacker(graphs).batches(batch_size, order)
 
 
 def iter_perturbation_batches(
@@ -241,7 +182,7 @@ def iter_perturbation_batches(
     if graph.n == 0:
         raise ValueError(f"graph {graph.name!r} has no nodes")
     width = max(graph.n_real, 1)  # an all-padding graph still pools one row
-    edges = self_looped_edges(graph.adjacency, graph.n_real)
+    edges = graph.self_looped_edges()
     features = np.asarray(graph.features[:width], dtype=np.float64)
     per_chunk = max(1, PERTURBATION_ROW_BUDGET // width)
     for start in range(0, len(kept_sets), per_chunk):

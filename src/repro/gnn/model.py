@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.acfg.graph import ACFG
-from repro.gnn.cache import AHatCache
 from repro.nn import Dense, GCNConv, Module, Tensor, no_grad, segment_max
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import (cycle guard)
@@ -77,10 +76,6 @@ class GCNClassifier(Module):
         self.in_features = in_features
         self.embedding_size = hidden[-1]
         self.num_classes = num_classes
-        #: Content-keyed memo of CSR normalized adjacencies: repeated
-        #: ``predict`` calls on the same graph, and batch packing across
-        #: epochs, reuse Â instead of rebuilding it.
-        self.a_hat_cache = AHatCache()
 
     # ------------------------------------------------------------------
     # Φ_e : node embeddings
@@ -182,9 +177,7 @@ class GCNClassifier(Module):
 
         rows = []
         with no_grad():
-            for batch in iter_batches(
-                graphs, batch_size, a_hat_cache=self.a_hat_cache
-            ):
+            for batch in iter_batches(graphs, batch_size):
                 _, logits = self.forward_batch(batch)
                 rows.append(logits.softmax(axis=-1).numpy())
         return np.vstack(rows)
@@ -226,9 +219,7 @@ class GCNClassifier(Module):
         All perturbations run through the batched sparse engine in a
         few block-diagonal passes
         (:func:`repro.gnn.batch.iter_perturbation_batches`); their Â
-        are derived from the graph's edge list and never touch
-        :attr:`a_hat_cache`, which would only fill with one-off
-        entries.
+        are derived from the graph's memoized edge list.
         """
         from repro.gnn.batch import iter_perturbation_batches
 

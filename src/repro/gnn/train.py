@@ -94,7 +94,7 @@ def train_gnn(
     rng = np.random.default_rng(seed)
     optimizer = Adam(model.parameters(), lr=lr)
     history = TrainingHistory()
-    packer = BatchPacker(train_set, a_hat_cache=model.a_hat_cache)
+    packer = BatchPacker(train_set)
 
     # Last epoch snapshot known to be numerically healthy; epoch -1 is
     # the freshly initialized model, so recovery is possible even when

@@ -257,10 +257,10 @@ def _corrupt_payload(graph: ACFG, rng: np.random.Generator) -> str | None:
         graph.features[row, col] = -7.0
     else:
         graph.adjacency[row, int(rng.integers(0, graph.n_real))] = 7.0
-    # The payload arrays changed under the graph's feet; stale content
-    # digests would let the Â/embedding caches serve pre-corruption
-    # results and mask the very bugs this fuzzer hunts.
-    graph.invalidate_content_keys()
+    # The payload arrays changed under the graph's feet; a stale edge
+    # list or content digest would let Â and the embedding cache serve
+    # pre-corruption results and mask the very bugs this fuzzer hunts.
+    graph.invalidate_memos()
     return kind
 
 

@@ -70,38 +70,6 @@ class CSRMatrix:
     def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
         return cls(_sp.csr_matrix(np.asarray(dense, dtype=np.float64)))
 
-    @classmethod
-    def block_diagonal(cls, blocks: list["CSRMatrix | np.ndarray"]) -> "CSRMatrix":
-        """Stack square blocks along the diagonal: diag(B_1, ..., B_k).
-
-        Assembled directly in CSR form — concatenated data, column
-        indices shifted per block, row pointers offset by cumulative
-        nnz — because ``scipy.sparse.block_diag`` routes through COO
-        and its per-block allocations dominate mini-batch packing.
-        """
-        if not blocks:
-            raise ValueError("need at least one block")
-        mats = [
-            b.matrix if isinstance(b, CSRMatrix) else _sp.csr_matrix(b)
-            for b in blocks
-        ]
-        if len(mats) == 1:
-            return cls(mats[0])
-        rows = np.array([m.shape[0] for m in mats])
-        cols = np.array([m.shape[1] for m in mats])
-        col_offsets = np.concatenate([[0], np.cumsum(cols[:-1])])
-        nnz_offsets = np.concatenate([[0], np.cumsum([m.nnz for m in mats[:-1]])])
-        data = np.concatenate([m.data for m in mats])
-        indices = np.concatenate(
-            [m.indices + off for m, off in zip(mats, col_offsets)]
-        )
-        indptr = np.concatenate(
-            [mats[0].indptr]
-            + [m.indptr[1:] + off for m, off in zip(mats[1:], nnz_offsets[1:])]
-        )
-        shape = (int(rows.sum()), int(cols.sum()))
-        return cls(_sp.csr_matrix((data, indices, indptr), shape=shape))
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------

@@ -114,9 +114,9 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
     forward, ``subgraph_proba_batch`` against a dense forward of each
     subgraph, ``weighted_edge_proba`` at a unit mask against the dense
     forward, CFExplainer's renormalized edge Â at all-keep against the
-    dense Â, ``AHatCache.get_csr`` bit for bit against the scipy
-    builder, and Algorithm 2's rung Â and node order exactly against
-    the dense Â and the dense oracle.
+    dense Â, every block of the packed batch's CSR Â bit for bit
+    against the scipy builder, and Algorithm 2's rung Â and node order
+    exactly against the dense Â and the dense oracle.
     """
     import numpy as np
 
@@ -124,8 +124,7 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
     from repro.core import CFGExplainerModel, interpret
     from repro.core.interpret import rung_a_hat
     from repro.explain.counterfactual import RenormalizedEdges
-    from repro.gnn import AHatCache, GCNClassifier, GraphBatch
-    from repro.gnn.normalize import self_looped_edges
+    from repro.gnn import GCNClassifier, GraphBatch
     from repro.malgen import generate_corpus
     from repro.nn import Tensor, no_grad
 
@@ -164,7 +163,7 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
                 expected = model.classify(z).numpy()
             worst_subgraph = max(worst_subgraph, float(np.max(np.abs(probs - expected))))
         n_real = graph.n_real
-        edges = RenormalizedEdges(graph.adjacency, n_real)
+        edges = RenormalizedEdges(graph)
         active = np.arange(graph.n) < n_real
         dense = reference.dense_a_hat(graph.adjacency, active)[:n_real, :n_real]
         with no_grad():
@@ -178,7 +177,8 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
         off_support = np.ones_like(dense, dtype=bool)
         off_support[edges.rows, edges.cols] = False
         worst_edges = max(worst_edges, float(np.max(np.abs(dense[off_support]), initial=0.0)))
-        csr = AHatCache().get_csr(graph.adjacency, n_real).matrix
+        block = batch.rows_of(i)
+        csr = batch.a_hat.matrix[block][:, block]
         built = reference.normalized_adjacency_csr(graph.adjacency, active)
         mismatches += not all(
             np.array_equal(getattr(csr, part), getattr(built, part))
@@ -186,7 +186,7 @@ def _run_batching_smoke(root: Path, samples: int, seed: int, tolerance: float = 
         )
         keep = rng.random(n_real) < 0.5
         rung = reference.dense_a_hat(graph.subgraph_adjacency(np.flatnonzero(keep)), active)
-        rows, cols, values = rung_a_hat(self_looped_edges(graph.adjacency, n_real), keep)
+        rows, cols, values = rung_a_hat(graph.self_looped_edges(), keep)
         rung_edges = np.zeros((n_real, n_real))
         rung_edges[rows, cols] = values
         mismatches += not np.array_equal(rung_edges, rung[:n_real, :n_real])

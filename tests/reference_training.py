@@ -10,13 +10,13 @@ against:
   the oracle for ``repro.gnn.normalize``;
 * :func:`normalized_adjacency_csr` — the same Â built through scipy's
   sparse constructors for any active-node mask, the bitwise oracle for
-  ``AHatCache.get_csr``;
+  the CSR Â ``repro.gnn.normalize`` derives from a graph's edge list;
 * :func:`dense_embed_a_hat` — Φ_e as ``relu(Â @ (X @ W) + b)`` per
   layer, with inactive rows masked to zero after every layer; Â may be
   a differentiable :class:`~repro.nn.Tensor`;
 * :func:`dense_embed` / :func:`dense_forward` /
   :func:`dense_predict_proba` / :func:`dense_predict` — one padded
-  graph through it, with the model's CSR Â filled dense
+  graph through it, with :func:`normalized_adjacency_csr` filled dense
   (:func:`graph_a_hat`);
 * :func:`scatter2d` — per-edge values scattered into an ``[N, N]``
   matrix, differentiably (PGExplainer's dense masked Â);
@@ -134,10 +134,14 @@ def dense_embed(model, adjacency, features, active_mask):
     return dense_embed_a_hat(model, a_hat, features, active_mask)
 
 
-def graph_a_hat(model, graph):
-    """``graph``'s dense Â (the model's cached CSR Â, keyed by the graph)."""
-    key = graph.content_key()
-    return model.a_hat_cache.get_csr(graph.adjacency, graph.n_real, key=key).toarray()
+def graph_a_hat(graph):
+    """``graph``'s dense Â: :func:`normalized_adjacency_csr` of its real
+    block, filled dense.  Padding rows and columns stay empty even where
+    a malformed graph gives them edges, as in the engines."""
+    n_real = graph.n_real
+    adjacency = np.zeros((graph.n, graph.n))
+    adjacency[:n_real, :n_real] = graph.adjacency[:n_real, :n_real]
+    return normalized_adjacency_csr(adjacency, np.arange(graph.n) < n_real).toarray()
 
 
 def dense_forward(model, graph, a_hat=None):
@@ -145,7 +149,7 @@ def dense_forward(model, graph, a_hat=None):
 
     ``a_hat`` is the graph's :func:`graph_a_hat`, if the caller keeps it.
     """
-    a_hat = graph_a_hat(model, graph) if a_hat is None else a_hat
+    a_hat = graph_a_hat(graph) if a_hat is None else a_hat
     active = np.arange(graph.n) < graph.n_real
     z = dense_embed_a_hat(model, a_hat, graph.features, active)
     return z, model.classify(z)
@@ -178,7 +182,7 @@ def train_per_graph(
             for index in indices:
                 graph = train_set[int(index)]
                 if index not in a_hats:
-                    a_hats[index] = graph_a_hat(model, graph)
+                    a_hats[index] = graph_a_hat(graph)
                 z, _ = dense_forward(model, graph, a_hats[index])
                 loss = cross_entropy(model.logits(z), graph.label)
                 batch_loss = loss if batch_loss is None else batch_loss + loss

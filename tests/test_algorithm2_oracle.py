@@ -31,7 +31,6 @@ from repro.explain.base import RANK_DECIMALS, level_fractions
 from repro.explain.explanation import kept_count
 from repro.gnn import EmbeddingCache
 from repro.disasm.cfg import build_cfg
-from repro.gnn.normalize import self_looped_edges
 from repro.malgen.corpus import LabeledSample, block_motif_tags
 from repro.malgen.families import FAMILIES, generate_program
 from repro.nn import Tensor, no_grad
@@ -282,7 +281,7 @@ class TestRungAHat:
         """Pruned rows zeroed, every real node active, real block only."""
         graph = EDGE_CASES[case]()
         n_real = graph.n_real
-        edges = self_looped_edges(graph.adjacency, n_real)
+        edges = graph.self_looped_edges()
         active = np.arange(graph.n) < n_real
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -299,16 +298,6 @@ class TestRungAHat:
 
 
 class TestCaches:
-    def test_leaves_a_hat_cache_alone(
-        self, trained_gnn, trained_theta, small_dataset
-    ):
-        _, test_set = small_dataset
-        before = trained_gnn.a_hat_cache.cache_info()
-        for graph in test_set.graphs:
-            interpret(trained_theta, trained_gnn, graph)
-        after = trained_gnn.a_hat_cache.cache_info()
-        assert (after.size, after.misses) == (before.size, before.misses)
-
     def test_cold_requests_leave_embedding_cache_size(
         self, serve_engine, trained_gnn, trained_theta, small_dataset
     ):

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.acfg import ACFG
+from repro.gnn.normalize import block_normalized_csr
 from repro.nn import (
     CSRMatrix,
     Tensor,
@@ -273,12 +275,13 @@ class TestSegmentAndSparseOps:
         np.testing.assert_allclose(out, dense @ x, atol=1e-12)
 
     def test_block_diagonal_layout(self):
-        a = CSRMatrix.block_diagonal(
-            [np.eye(2), np.full((1, 1), 3.0)]
-        )
+        """A batch's Â lays each graph's normalized block on the diagonal."""
+        pair = ACFG(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 1)), 0, "toy")
+        single = ACFG(np.zeros((1, 1)), np.zeros((1, 1)), 0, "toy")
+        a = CSRMatrix(block_normalized_csr([pair, single]))
         expected = np.zeros((3, 3))
-        expected[:2, :2] = np.eye(2)
-        expected[2, 2] = 3.0
+        expected[:2, :2] = 0.5  # one symmetrized edge plus self-loops: degree 2
+        expected[2, 2] = 1.0
         np.testing.assert_allclose(a.toarray(), expected)
 
     def test_cross_entropy_batch_gradient(self):

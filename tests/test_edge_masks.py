@@ -281,7 +281,7 @@ def test_weighted_edge_proba_at_unit_mask_equals_forward_acfg(small_dataset):
     model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(3))
     _, test_set = small_dataset
     for graph in list(test_set.graphs[:3]) + edge_case_graphs():
-        rows, cols, a_hat = normalized_edges(graph.adjacency, graph.n_real)
+        rows, cols, a_hat = normalized_edges(graph)
         with no_grad():
             probs = model.weighted_edge_proba(graph, rows, cols, Tensor(a_hat)).numpy()
         assert np.max(np.abs(probs - dense_predict_proba(model, graph))) <= 1e-12
@@ -290,7 +290,7 @@ def test_weighted_edge_proba_at_unit_mask_equals_forward_acfg(small_dataset):
 def test_renormalized_edges_at_all_keep_equal_normalized_adjacency(small_dataset):
     _, test_set = small_dataset
     for graph in list(test_set.graphs[:3]) + edge_case_graphs():
-        edges = RenormalizedEdges(graph.adjacency, graph.n_real)
+        edges = RenormalizedEdges(graph)
         dense = np.zeros((graph.n_real, graph.n_real))
         dense[edges.rows, edges.cols] = edges.a_hat(Tensor(np.ones(edges.count))).numpy()
         active = np.zeros(graph.n, dtype=bool)
@@ -303,7 +303,7 @@ def test_renormalized_edges_at_all_keep_equal_normalized_adjacency(small_dataset
 
 def test_renormalized_edges_follow_triu_order():
     graph = edge_case_graphs()[3]
-    edges = RenormalizedEdges(graph.adjacency, graph.n_real)
+    edges = RenormalizedEdges(graph)
     real = graph.adjacency[: graph.n_real, : graph.n_real]
     iu, ju = np.nonzero(np.triu(np.maximum(real, real.T), k=1))
     np.testing.assert_array_equal(edges.iu, iu)
@@ -322,7 +322,7 @@ def test_renormalized_edges_follow_triu_order():
 def assert_mask_matches(explainer, graph):
     sparse = explainer.optimize_mask(graph)
     dense = dense_optimize_mask(explainer, graph)
-    rows, cols, _ = normalized_edges(graph.adjacency, graph.n_real)
+    rows, cols, _ = normalized_edges(graph)
     np.testing.assert_array_equal(np.argwhere(dense > 0), np.stack([rows, cols], axis=1))
     assert np.max(np.abs(sparse - dense[rows, cols]), initial=0.0) <= TOLERANCE
     order, scores = explainer.rank_nodes(graph)

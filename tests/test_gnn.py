@@ -78,7 +78,7 @@ class TestGCNClassifier:
         model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
         graph = small_acfg()
         z = model.embed(
-            *normalized_edges(graph.adjacency, graph.n_real),
+            *normalized_edges(graph),
             graph.features[: graph.n_real],
         )
         assert z.shape == (graph.n_real, 4)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.acfg import ACFG
 from repro.gnn import (
-    AHatCache,
     EmbeddingCache,
     GCNClassifier,
     GraphBatch,
@@ -19,6 +18,7 @@ from repro.gnn import (
     iter_batches,
     train_gnn,
 )
+from repro.gnn.normalize import block_normalized_csr
 from repro.nn import Tensor, cross_entropy, cross_entropy_batch, no_grad
 from tests.reference_training import (
     dense_a_hat,
@@ -177,58 +177,14 @@ class TestGraphBatchStructure:
         ]
 
 
-class TestAHatCache:
-    def test_repeated_predict_hits_cache(self, mixed_batch_graphs):
-        """Regression: Â must be computed once per graph, not per call."""
-        model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
-        graph = mixed_batch_graphs[0]
-        model.predict(graph)
-        after_first = model.a_hat_cache.cache_info()
-        assert after_first.misses == 1
-        model.predict(graph)
-        model.predict_proba(graph)
-        after_repeat = model.a_hat_cache.cache_info()
-        assert after_repeat.misses == 1, "Â was rebuilt on a repeated call"
-        assert after_repeat.hits >= 2
-
-    def test_batch_packing_reuses_cached_csr(self, mixed_batch_graphs):
-        model = GCNClassifier(hidden=(8, 4), rng=np.random.default_rng(0))
-        for _ in range(3):
-            GraphBatch.from_graphs(
-                mixed_batch_graphs, a_hat_cache=model.a_hat_cache
-            )
-        info = model.a_hat_cache.cache_info()
-        assert info.misses == len(mixed_batch_graphs)
-        assert info.hits == 2 * len(mixed_batch_graphs)
-
-    def test_content_keyed_not_identity_keyed(self):
-        """Mutating a graph's adjacency must invalidate the cached Â."""
-        cache = AHatCache()
-        adjacency = np.zeros((3, 3))
-        adjacency[0, 1] = 1.0
-        first = cache.get_csr(adjacency).toarray()
-        adjacency[1, 2] = 1.0  # in-place mutation, same object
-        second = cache.get_csr(adjacency).toarray()
-        assert cache.cache_info().misses == 2
-        assert not np.allclose(first, second)
-
-    def test_lru_eviction_bounds_size(self):
-        cache = AHatCache(maxsize=2)
-        for k in range(4):
-            adjacency = np.zeros((2, 2))
-            adjacency[0, 1] = float(k % 2 + 1)
-            adjacency[1, 0] = float(k // 2 + 1)
-            cache.get_csr(adjacency)
-        assert cache.cache_info().size <= 2
-
+class TestGraphAHat:
     def test_dense_and_csr_agree(self, mixed_batch_graphs):
-        cache = AHatCache()
         graph = mixed_batch_graphs[0]
         mask = np.zeros(graph.n, dtype=bool)
         mask[: graph.n_real] = True
         np.testing.assert_allclose(
             dense_a_hat(graph.adjacency, mask),
-            cache.get_csr(graph.adjacency, graph.n_real).toarray(),
+            block_normalized_csr([graph]).toarray(),
             atol=1e-15,
         )
 

@@ -11,9 +11,9 @@ Covers the four guarantees:
 * buffer reuse — :class:`repro.nn.KernelWorkspace` buffers are reused
   across steps without ever aliasing a parameter gradient, and
   workspace-driven training reproduces the reference losses exactly;
-* one dtype — tensors, packed batches, perturbation batches and cached
-  Â come out float64 whatever the input dtype, and the in-place Adam
-  update is bit-identical to the allocating formulation.
+* one dtype — tensors, packed batches, perturbation batches and the
+  graph-derived Â come out float64 whatever the input dtype, and the
+  in-place Adam update is bit-identical to the allocating formulation.
 """
 
 from dataclasses import replace
@@ -30,7 +30,7 @@ from repro.gnn.batch import (
     iter_batches,
     iter_perturbation_batches,
 )
-from repro.gnn.cache import AHatCache
+from repro.gnn.normalize import block_normalized_csr
 from repro.malgen import generate_corpus
 from repro.nn import (
     Adam,
@@ -153,18 +153,36 @@ def test_normalized_adjacency_csr_matches_dense_reference():
     assert via_csr[n - 1].sum() == 0.0
 
 
-def test_a_hat_cache_csr_equals_reference_builder_bitwise(small_sets):
-    """The edge-list Â is the scipy builder's, structure and values."""
+def _assert_csr_equal(got, want):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+def _reference_csr(graph):
+    return normalized_adjacency_csr(graph.adjacency, np.arange(graph.n) < graph.n_real)
+
+
+def test_graph_csr_equals_reference_builder_bitwise(small_sets):
+    """The edge-list Â is the scipy builder's, structure and values,
+    padded or not."""
     train_set, test_set = small_sets
     for graph in [*train_set, *test_set]:
-        for adjacency, n_real in (
-            (graph.adjacency, graph.n_real),
-            (graph.adjacency[: graph.n_real, : graph.n_real], graph.n_real),
-        ):
-            got = AHatCache().get_csr(adjacency, n_real).matrix
-            want = normalized_adjacency_csr(adjacency, np.arange(len(adjacency)) < n_real)
-            for part in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+        unpadded = replace(
+            graph,
+            adjacency=graph.adjacency[: graph.n_real, : graph.n_real],
+            features=graph.features[: graph.n_real],
+        )
+        for copy in (graph, unpadded):
+            _assert_csr_equal(block_normalized_csr([copy]), _reference_csr(copy))
+
+
+def test_packed_batch_csr_equals_reference_blocks_bitwise(small_sets):
+    """A packed batch's Â is the reference blocks laid along the diagonal."""
+    train_set, test_set = small_sets
+    graphs = [*train_set, *test_set]
+    batch = GraphBatch.from_graphs(graphs)
+    want = sp.block_diag([_reference_csr(g) for g in graphs], format="csr")
+    _assert_csr_equal(batch.a_hat.matrix, want)
 
 
 def test_fused_gcn_layer_bitwise_equals_composed():
@@ -204,7 +222,7 @@ def test_fused_layer_drives_the_batched_path(small_sets):
     train_set, _ = small_sets
     graphs = list(train_set)[:5]
     model = GCNClassifier(hidden=(8, 6), rng=np.random.default_rng(2))
-    batch = GraphBatch.from_graphs(graphs, a_hat_cache=model.a_hat_cache)
+    batch = GraphBatch.from_graphs(graphs)
     z = model.embed_batch(batch)
     assert z._op == "gcn_layer"
     for i, graph in enumerate(graphs):
@@ -237,7 +255,7 @@ def test_workspace_reuses_buffers_by_slot():
 def test_training_reuses_workspace_without_aliasing_grads(small_sets):
     train_set, _ = small_sets
     model = GCNClassifier(hidden=(8, 6), rng=np.random.default_rng(0))
-    packer = BatchPacker(train_set, a_hat_cache=model.a_hat_cache)
+    packer = BatchPacker(train_set)
     optimizer = Adam(model.parameters(), lr=0.005)
     for _ in range(3):  # several epochs over the same workspace
         for batch in packer.batches(4):
@@ -293,9 +311,13 @@ def _narrowed(graph, dtype):
 @pytest.mark.parametrize("dtype", NARROW_DTYPES)
 @pytest.mark.parametrize("cached", [False, True])
 def test_graph_batch_packs_float64(small_sets, dtype, cached):
+    """Packing from a cold or an already memoized edge list."""
     train_set, _ = small_sets
     graphs = [_narrowed(g, dtype) for g in list(train_set)[:3]]
-    batch = GraphBatch.from_graphs(graphs, a_hat_cache=AHatCache() if cached else None)
+    if cached:
+        for graph in graphs:
+            graph.self_looped_edges()
+    batch = GraphBatch.from_graphs(graphs)
     assert batch.features.dtype == np.float64
     assert batch.a_hat.dtype == np.float64
 
@@ -310,9 +332,10 @@ def test_perturbation_batches_are_float64(small_sets, dtype):
 
 
 @pytest.mark.parametrize("dtype", NARROW_DTYPES)
-def test_a_hat_cache_csr_is_float64(small_sets, dtype):
-    graph = small_sets[0][0]
-    csr = AHatCache().get_csr(graph.adjacency.astype(dtype))
+def test_graph_csr_is_float64(small_sets, dtype):
+    graph = _narrowed(small_sets[0][0], dtype)
+    assert graph.self_looped_edges()[2].dtype == np.float64
+    csr = CSRMatrix(block_normalized_csr([graph]))
     assert csr.dtype == np.float64
     assert csr.transpose().dtype == np.float64
 
@@ -359,37 +382,27 @@ def test_inplace_adam_is_bitwise_identical_to_reference(weight_decay):
 
 
 # ----------------------------------------------------------------------
-# content keys
+# memos
 # ----------------------------------------------------------------------
-def test_graph_content_keys_unify_with_raw_array_hashing(small_sets):
+def test_memos_invalidate_after_in_place_mutation(small_sets):
     train_set, _ = small_sets
     graph = train_set[0]
-    cache = AHatCache()
-    # Raw-array lookup populates; graph-keyed lookup must hit it.
-    cache.get_csr(graph.adjacency, graph.n_real)
-    cache.get_csr(graph.adjacency, graph.n_real, key=graph.content_key())
-    assert cache.cache_info().misses == 1
-    assert cache.cache_info().hits == 1
-
-
-def test_content_keys_invalidate_after_in_place_mutation(small_sets):
-    train_set, _ = small_sets
-    graph = train_set[0]
-    before_content = graph.content_key()
+    before_edges = graph.self_looped_edges()
     before_embed = graph.embed_key()
-    assert graph.content_key() is before_content  # cached, not recomputed
+    assert graph.self_looped_edges() is before_edges  # memoized, not recomputed
     graph.features[0, 0] += 1.0
-    graph.invalidate_content_keys()
+    graph.invalidate_memos()
     assert graph.embed_key() != before_embed
-    # features don't enter the Â key, adjacency does
-    assert graph.content_key() == before_content
+    # features don't enter the edge list, adjacency does
+    for got, want in zip(graph.self_looped_edges(), before_edges):
+        assert np.array_equal(got, want)
     graph.adjacency[0, 0] = 1.0
-    graph.invalidate_content_keys()
-    assert graph.content_key() != before_content
+    graph.invalidate_memos()
+    assert graph.self_looped_edges()[2][0] == before_edges[2][0] + 1.0
     # restore for other module-scoped tests
     graph.features[0, 0] -= 1.0
     graph.adjacency[0, 0] = 0.0
-    graph.invalidate_content_keys()
+    graph.invalidate_memos()
 
 
 def test_csr_matrix_caches_transpose():

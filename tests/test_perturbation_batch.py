@@ -5,23 +5,16 @@ one graph in block-diagonal sparse passes whose Â is derived from the
 graph's edge list.  The oracle below is the dense per-call body it
 replaced: zero the removed rows/columns of A and X, normalize the dense
 matrix, run the per-graph forward.  Contract: max |Δp| ≤ 1e-12 and the
-same argmax, for every chunk layout and edge case, and no
-traffic through the model's Â cache.
+same argmax, for every chunk layout and edge case.
 """
 
 import numpy as np
 
 import repro.gnn.batch as batch_module
 from repro.acfg import ACFG
-from repro.baselines.subgraphx import SubgraphXBaseline, shapley_score, shapley_scores
-from repro.explain.metrics import (
-    fidelity_plus_acc,
-    necessity,
-    sufficiency,
-    sweep_accuracy_curve,
-)
+from repro.baselines.subgraphx import shapley_score, shapley_scores
 from repro.gnn import GCNClassifier
-from repro.gnn.normalize import masked_normalized_csr, self_looped_edges
+from repro.gnn.normalize import masked_normalized_csr
 from repro.nn import no_grad
 from tests.reference_training import dense_embed, normalized_adjacency_csr
 
@@ -128,7 +121,7 @@ def test_masked_csr_blocks_equal_csr_builder():
     """Every block is the CSR builder's Â of that subgraph, bit for bit."""
     rng = np.random.default_rng(9)
     graph = random_graph(rng, 25, 5, self_loops=True)
-    edges = self_looped_edges(graph.adjacency, graph.n_real)
+    edges = graph.self_looped_edges()
     keep = rng.random((4, graph.n_real)) < 0.6
     stacked = masked_normalized_csr(edges, keep).toarray()
     for k in range(4):
@@ -163,19 +156,3 @@ def test_shapley_scores_equal_sequential_calls():
     ]
     np.testing.assert_allclose(batched, sequential, rtol=0, atol=TOLERANCE)
 
-
-def test_scoring_leaves_a_hat_cache_untouched():
-    """Sweep, CFF metrics and SubgraphX never add Â cache entries."""
-    rng = np.random.default_rng(8)
-    model = GCNClassifier(hidden=(16, 8), rng=np.random.default_rng(7))
-    graph = random_graph(rng, 30, 10)
-    model.predict(graph)  # the one full-graph Â every caller shares
-    before = model.a_hat_cache.cache_info()
-    explainer = SubgraphXBaseline(model, mcts_iterations=6, shapley_samples=2)
-    explanation = explainer.explain(graph)
-    sweep_accuracy_curve(model, [explanation])
-    sufficiency(model, [explanation], 0.2)
-    necessity(model, [explanation], 0.2)
-    fidelity_plus_acc(model, [explanation], 0.2)
-    after = model.a_hat_cache.cache_info()
-    assert (after.size, after.misses) == (before.size, before.misses)

@@ -42,7 +42,7 @@ def dense_gradient_scores(model, graph):
     """Gradient's dense body: saliency through the padded forward."""
     x = Tensor(np.asarray(graph.features, dtype=np.float64), requires_grad=True)
     active = np.arange(graph.n) < graph.n_real
-    z = dense_embed_a_hat(model, graph_a_hat(model, graph), x, active)
+    z = dense_embed_a_hat(model, graph_a_hat(graph), x, active)
     logits = model.classifier(max_pool_ties_evenly(z[: graph.n_real])).reshape(-1)
     seed = np.zeros_like(logits.numpy())
     seed[int(np.argmax(logits.numpy()))] = 1.0
@@ -55,7 +55,7 @@ class DensePGExplainer(PGExplainerBaseline):
 
     def _cache_graph(self, graph):
         active = np.arange(graph.n) < graph.n_real
-        a_hat = graph_a_hat(self.model, graph)
+        a_hat = graph_a_hat(graph)
         edges = np.argwhere((a_hat > 0) & ~np.eye(graph.n, dtype=bool))
         with no_grad():
             z = dense_embed_a_hat(self.model, a_hat, graph.features, active).numpy()
@@ -68,19 +68,19 @@ class DensePGExplainer(PGExplainerBaseline):
             features=graph.features,
         )
 
-    def _graph_loss(self, cache, tau, rng):
-        logits = self.predictor(Tensor(cache.edge_embeddings)).reshape(-1)
+    def _graph_loss(self, entry, tau, rng):
+        logits = self.predictor(Tensor(entry.edge_embeddings)).reshape(-1)
         uniform = rng.uniform(1e-6, 1.0 - 1e-6, size=logits.shape)
         noise = np.log(uniform) - np.log(1.0 - uniform)
         soft_mask = ((logits + Tensor(noise)) * (1.0 / tau)).sigmoid()
-        rows, cols = cache.edges[:, 0], cache.edges[:, 1]
-        off_edges = cache.a_hat.copy()
+        rows, cols = entry.edges[:, 0], entry.edges[:, 1]
+        off_edges = entry.a_hat.copy()
         off_edges[rows, cols] = 0.0
-        edge_weights = Tensor(cache.a_hat[rows, cols]) * soft_mask
-        masked = Tensor(off_edges) + scatter2d(edge_weights, cache.a_hat.shape, rows, cols)
-        z = dense_embed_a_hat(self.model, masked, cache.features, cache.active)
+        edge_weights = Tensor(entry.a_hat[rows, cols]) * soft_mask
+        masked = Tensor(off_edges) + scatter2d(edge_weights, entry.a_hat.shape, rows, cols)
+        z = dense_embed_a_hat(self.model, masked, entry.features, entry.active)
         probs = self.model.classify(z)
-        prediction_loss = nll_loss_from_probs(probs, cache.target, eps=1e-12)
+        prediction_loss = nll_loss_from_probs(probs, entry.target, eps=1e-12)
         size_loss = soft_mask.sum() * self.size_weight
         probs_edges = logits.sigmoid()
         entropy = -(
@@ -159,7 +159,7 @@ def test_padding_edges_leave_both_forwards_alike(trained_gnn):
     probs = trained_gnn.predict_proba(graph)
     assert np.array_equal(probs, trained_gnn.predict_proba(clean))
     with no_grad():
-        z = trained_gnn.embed(*normalized_edges(adjacency, 5), features[:5])
+        z = trained_gnn.embed(*normalized_edges(graph), features[:5])
         via_embed = trained_gnn.classify(z).numpy()
     np.testing.assert_allclose(probs, via_embed, rtol=0, atol=TOLERANCE)
 
@@ -196,8 +196,7 @@ def test_padded_forward_allocates_less_than_one_dense_matrix():
     }
     limit = 3000 * 3000 * 8
     for name, call in calls.items():
-        graph = padded_chain()  # cold: no content key, no cached Â
-        model.a_hat_cache.clear()
+        graph = padded_chain()  # cold: no edge list memoized yet
         tracemalloc.start()
         try:
             call(graph)
